@@ -3,8 +3,8 @@
 //! Replication traffic rides the same 4-byte length-prefixed JSON
 //! framing as the client protocol ([`hwm_service::read_frame`] /
 //! [`hwm_service::write_frame`]); only the payload schema differs. Like
-//! the client codec, parsing is **strict** — unknown fields, missing
-//! fields and wrong types are refused — and every frame except
+//! the client codec, parsing is **strict** — unknown, duplicated,
+//! missing and wrong-typed fields are refused — and every frame except
 //! [`RepFrame::Error`] names the shard it is for, so a frame that
 //! reaches the wrong replica is rejected instead of silently applied
 //! (see [`crate::ShardNode::handle_rep`]).
@@ -15,7 +15,7 @@
 //! writes.
 
 use crate::ClusterError;
-use hwm_jsonio::Json;
+use hwm_jsonio::{Json, StrictObj};
 use hwm_metrics::AuditEvent;
 use hwm_service::{Request, Response};
 use hwm_trace::{SpanRecord, TraceContext};
@@ -270,53 +270,50 @@ impl RepFrame {
     ///
     /// Returns a [`ClusterError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<RepFrame, ClusterError> {
-        let fields = StrictObj::new(j)?;
-        let kind = fields.str_field("type")?;
-        let frame = match kind.as_str() {
+        let mut fields = StrictObj::new(j, "replication frame")?;
+        let frame = match fields.str("type")? {
             "forward" => RepFrame::Forward {
-                shard: fields.u64_field("shard")?,
-                tick: fields.u64_field("tick")?,
-                req: Request::from_json(fields.json_field("req")?)
-                    .map_err(|e| ClusterError::new(e.message))?,
-                trace: fields.trace_field("trace")?,
+                shard: fields.u64("shard")?,
+                tick: fields.u64("tick")?,
+                req: Request::from_json(fields.req("req")?)?,
+                trace: trace_field(&mut fields)?,
             },
             "reply" => RepFrame::Reply {
-                shard: fields.u64_field("shard")?,
-                resp: Response::from_json(fields.json_field("resp")?)
-                    .map_err(|e| ClusterError::new(e.message))?,
-                seq: fields.u64_field("seq")?,
-                entries: fields.str_arr_field("entries")?,
-                audit: fields.audit_field("audit")?,
-                spans: fields.spans_field("spans")?,
+                shard: fields.u64("shard")?,
+                resp: Response::from_json(fields.req("resp")?)?,
+                seq: fields.u64("seq")?,
+                entries: fields.str_arr("entries")?,
+                audit: audit_field(&mut fields)?,
+                spans: spans_field(&mut fields)?,
             },
             "append" => RepFrame::Append {
-                shard: fields.u64_field("shard")?,
-                entries: fields.str_arr_field("entries")?,
-                audit: fields.audit_field("audit")?,
-                trace: fields.trace_field("trace")?,
+                shard: fields.u64("shard")?,
+                entries: fields.str_arr("entries")?,
+                audit: audit_field(&mut fields)?,
+                trace: trace_field(&mut fields)?,
             },
             "snapshot" => RepFrame::Snapshot {
-                shard: fields.u64_field("shard")?,
-                snapshot: fields.str_field("snapshot")?,
-                audit: fields.audit_field("audit")?,
-                trace: fields.trace_field("trace")?,
+                shard: fields.u64("shard")?,
+                snapshot: fields.str("snapshot")?.into(),
+                audit: audit_field(&mut fields)?,
+                trace: trace_field(&mut fields)?,
             },
             "promote" => RepFrame::Promote {
-                shard: fields.u64_field("shard")?,
-                clock: fields.u64_field("clock")?,
-                trace: fields.trace_field("trace")?,
+                shard: fields.u64("shard")?,
+                clock: fields.u64("clock")?,
+                trace: trace_field(&mut fields)?,
             },
             "checkpoint" => RepFrame::Checkpoint {
-                shard: fields.u64_field("shard")?,
-                trace: fields.trace_field("trace")?,
+                shard: fields.u64("shard")?,
+                trace: trace_field(&mut fields)?,
             },
             "ack" => RepFrame::Ack {
-                shard: fields.u64_field("shard")?,
-                seq: fields.u64_field("seq")?,
-                spans: fields.spans_field("spans")?,
+                shard: fields.u64("shard")?,
+                seq: fields.u64("seq")?,
+                spans: spans_field(&mut fields)?,
             },
             "error" => RepFrame::Error {
-                message: fields.str_field("message")?,
+                message: fields.str("message")?.into(),
             },
             other => {
                 return Err(ClusterError::new(format!(
@@ -329,113 +326,32 @@ impl RepFrame {
     }
 }
 
-/// Strict object reader: every field must be consumed exactly once; any
-/// field left over at [`StrictObj::finish`] is an "unknown field" error.
-/// (The service keeps its reader private, so the replication codec
-/// carries its own copy of the idiom.)
-struct StrictObj<'a> {
-    fields: &'a [(String, Json)],
-    used: std::cell::RefCell<Vec<bool>>,
+/// Optional trace context: absent means untraced (old frames parse),
+/// present is parsed strictly (tampered contexts are refused).
+fn trace_field(fields: &mut StrictObj<'_>) -> Result<Option<TraceContext>, ClusterError> {
+    fields
+        .opt("trace")?
+        .map(|j| TraceContext::from_json(j).map_err(|e| ClusterError::new(e.message)))
+        .transpose()
 }
 
-impl<'a> StrictObj<'a> {
-    fn new(j: &'a Json) -> Result<StrictObj<'a>, ClusterError> {
-        match j {
-            Json::Obj(fields) => Ok(StrictObj {
-                fields,
-                used: std::cell::RefCell::new(vec![false; fields.len()]),
-            }),
-            _ => Err(ClusterError::new("replication frame must be a JSON object")),
-        }
-    }
+/// Optional span batch: absent means empty, present is parsed strictly
+/// per span.
+fn spans_field(fields: &mut StrictObj<'_>) -> Result<Vec<SpanRecord>, ClusterError> {
+    fields
+        .opt_arr("spans")?
+        .unwrap_or_default()
+        .iter()
+        .map(|sj| SpanRecord::from_json(sj).map_err(|e| ClusterError::new(e.message)))
+        .collect()
+}
 
-    fn take(&self, name: &str) -> Option<&'a Json> {
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if k == name && !self.used.borrow()[i] {
-                self.used.borrow_mut()[i] = true;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn str_field(&self, name: &'static str) -> Result<String, ClusterError> {
-        self.take(name)
-            .ok_or_else(|| ClusterError::new(format!("replication frame missing field {name:?}")))?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| ClusterError::new(format!("field {name:?} must be a string")))
-    }
-
-    fn u64_field(&self, name: &'static str) -> Result<u64, ClusterError> {
-        self.take(name)
-            .ok_or_else(|| ClusterError::new(format!("replication frame missing field {name:?}")))?
-            .as_u64()
-            .ok_or_else(|| ClusterError::new(format!("field {name:?} must be an unsigned integer")))
-    }
-
-    fn json_field(&self, name: &'static str) -> Result<&'a Json, ClusterError> {
-        self.take(name)
-            .ok_or_else(|| ClusterError::new(format!("replication frame missing field {name:?}")))
-    }
-
-    fn str_arr_field(&self, name: &'static str) -> Result<Vec<String>, ClusterError> {
-        self.json_field(name)?
-            .as_arr()
-            .ok_or_else(|| ClusterError::new(format!("field {name:?} must be an array")))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ClusterError::new(format!("field {name:?} must hold strings")))
-            })
-            .collect()
-    }
-
-    /// Optional trace context: absent means untraced (old frames parse),
-    /// present is parsed strictly (tampered contexts are refused).
-    fn trace_field(&self, name: &'static str) -> Result<Option<TraceContext>, ClusterError> {
-        match self.take(name) {
-            None => Ok(None),
-            Some(j) => TraceContext::from_json(j)
-                .map(Some)
-                .map_err(|e| ClusterError::new(e.message)),
-        }
-    }
-
-    /// Optional span batch: absent means empty, present is parsed
-    /// strictly per span.
-    fn spans_field(&self, name: &'static str) -> Result<Vec<SpanRecord>, ClusterError> {
-        match self.take(name) {
-            None => Ok(Vec::new()),
-            Some(j) => j
-                .as_arr()
-                .ok_or_else(|| ClusterError::new(format!("field {name:?} must be an array")))?
-                .iter()
-                .map(|sj| SpanRecord::from_json(sj).map_err(|e| ClusterError::new(e.message)))
-                .collect(),
-        }
-    }
-
-    fn audit_field(&self, name: &'static str) -> Result<Vec<AuditEvent>, ClusterError> {
-        self.json_field(name)?
-            .as_arr()
-            .ok_or_else(|| ClusterError::new(format!("field {name:?} must be an array")))?
-            .iter()
-            .map(|ej| AuditEvent::from_json(ej).map_err(|e| ClusterError::new(e.message)))
-            .collect()
-    }
-
-    fn finish(&self) -> Result<(), ClusterError> {
-        for (i, (k, _)) in self.fields.iter().enumerate() {
-            if !self.used.borrow()[i] {
-                return Err(ClusterError::new(format!(
-                    "replication frame has unknown field {k:?}"
-                )));
-            }
-        }
-        Ok(())
-    }
+fn audit_field(fields: &mut StrictObj<'_>) -> Result<Vec<AuditEvent>, ClusterError> {
+    fields
+        .arr("audit")?
+        .iter()
+        .map(|ej| AuditEvent::from_json(ej).map_err(|e| ClusterError::new(e.message)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -611,6 +527,13 @@ mod tests {
         ]);
         let err = RepFrame::from_json(&j).expect_err("unknown field refused");
         assert!(err.message.contains("unknown field"), "{}", err.message);
+        let j = Json::obj(vec![
+            ("type", Json::Str("checkpoint".into())),
+            ("shard", Json::U64(0)),
+            ("shard", Json::U64(1)),
+        ]);
+        let err = RepFrame::from_json(&j).expect_err("duplicate field refused");
+        assert!(err.message.contains("duplicate field \"shard\""), "{}", err.message);
     }
 
     #[test]

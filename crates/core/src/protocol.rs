@@ -12,7 +12,7 @@ use crate::added::AddedStg;
 use crate::bfsm::{Bfsm, SafeEdges, SafeSearch};
 use crate::chip::{Chip, ScanReadout, UnlockKey};
 use crate::MeteringError;
-use hwm_jsonio::Json;
+use hwm_jsonio::{Json, StrictObj};
 use hwm_rub::VariationModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,61 +113,27 @@ impl LockOptions {
     /// Returns [`MeteringError::InvalidOptions`] naming the offending
     /// field.
     pub fn from_json(json: &Json) -> Result<LockOptions, MeteringError> {
-        let bad = |reason: String| MeteringError::InvalidOptions { reason };
-        let fields = match json {
-            Json::Obj(fields) => fields,
-            _ => return Err(bad("options must be a JSON object".to_string())),
-        };
-        const KNOWN: [&str; 10] = [
-            "added_modules",
-            "input_bits",
-            "overrides_per_module",
-            "links_per_module",
-            "black_holes",
-            "trapdoor_length",
-            "group_bits",
-            "dummy_ffs",
-            "remote_disable",
-            "module_search_candidates",
-        ];
-        for (key, _) in fields {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(bad(format!("options has unknown field {key:?}")));
-            }
-        }
-        let get_usize = |key: &str| {
-            json.get(key)
-                .ok_or_else(|| bad(format!("options missing field {key:?}")))?
-                .as_usize()
-                .ok_or_else(|| bad(format!("options field {key:?} must be an unsigned integer")))
-        };
-        Ok(LockOptions {
-            added_modules: get_usize("added_modules")?,
-            input_bits: match json.get("input_bits") {
-                Some(Json::Null) => None,
-                Some(v) => Some(v.as_usize().ok_or_else(|| {
-                    bad("options field \"input_bits\" must be null or an unsigned integer"
-                        .to_string())
-                })?),
-                None => {
-                    return Err(bad("options missing field \"input_bits\"".to_string()));
-                }
+        let mut f = StrictObj::new(json, "options")?;
+        let options = LockOptions {
+            added_modules: f.u64("added_modules")? as usize,
+            input_bits: match f.req("input_bits")? {
+                Json::Null => None,
+                v => Some(
+                    v.as_usize()
+                        .ok_or_else(|| f.wrong("input_bits", "null or an unsigned integer"))?,
+                ),
             },
-            overrides_per_module: get_usize("overrides_per_module")?,
-            links_per_module: get_usize("links_per_module")?,
-            black_holes: get_usize("black_holes")?,
-            trapdoor_length: get_usize("trapdoor_length")?,
-            group_bits: get_usize("group_bits")?,
-            dummy_ffs: get_usize("dummy_ffs")?,
-            remote_disable: json
-                .get("remote_disable")
-                .ok_or_else(|| bad("options missing field \"remote_disable\"".to_string()))?
-                .as_bool()
-                .ok_or_else(|| {
-                    bad("options field \"remote_disable\" must be a boolean".to_string())
-                })?,
-            module_search_candidates: get_usize("module_search_candidates")?,
-        })
+            overrides_per_module: f.u64("overrides_per_module")? as usize,
+            links_per_module: f.u64("links_per_module")? as usize,
+            black_holes: f.u64("black_holes")? as usize,
+            trapdoor_length: f.u64("trapdoor_length")? as usize,
+            group_bits: f.u64("group_bits")? as usize,
+            dummy_ffs: f.u64("dummy_ffs")? as usize,
+            remote_disable: f.bool("remote_disable")?,
+            module_search_candidates: f.u64("module_search_candidates")? as usize,
+        };
+        f.finish()?;
+        Ok(options)
     }
 }
 
@@ -449,51 +415,36 @@ impl Designer {
     ///
     /// Returns [`MeteringError::InvalidOptions`] for malformed input.
     pub fn import_database(json: &str) -> Result<Designer, MeteringError> {
-        let bad = |reason: String| MeteringError::InvalidOptions { reason };
-        let db = Json::parse(json).map_err(|e| bad(format!("deserialization failed: {e}")))?;
-        let version = db
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("database missing version".to_string()))?;
+        let db = Json::parse(json).map_err(|e| MeteringError::InvalidOptions {
+            reason: format!("deserialization failed: {e}"),
+        })?;
+        let mut f = StrictObj::new(&db, "database")?;
+        let version = f.u64("version")?;
         if version != DATABASE_VERSION {
-            return Err(bad(format!("unsupported database version {version}")));
+            return Err(MeteringError::InvalidOptions {
+                reason: format!("unsupported database version {version}"),
+            });
         }
-        let original = stg_from_json(
-            db.get("original")
-                .ok_or_else(|| bad("database missing original STG".to_string()))?,
-        )?;
-        let options = LockOptions::from_json(
-            db.get("options")
-                .ok_or_else(|| bad("database missing options".to_string()))?,
-        )?;
-        let seed = db
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("database missing seed".to_string()))?;
+        let original = stg_from_json(f.req("original")?)?;
+        let options = LockOptions::from_json(f.req("options")?)?;
+        let seed = f.u64("seed")?;
+        let log = f.arr("log")?;
+        f.finish()?;
         let mut designer = Designer::new(original, options, seed)?;
-        let log = db
-            .get("log")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("database missing log".to_string()))?;
         designer.log = log
             .iter()
             .map(|rec| {
-                Ok(ActivationRecord {
-                    reported_code: rec
-                        .get("reported_code")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("log record missing reported_code".to_string()))?,
-                    group: rec
-                        .get("group")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("log record missing group".to_string()))?
-                        as u8,
-                    key: rec
-                        .get("key")
-                        .map(key_from_json)
-                        .transpose()?
-                        .ok_or_else(|| bad("log record missing key".to_string()))?,
-                })
+                let mut r = StrictObj::new(rec, "log record")?;
+                let record = ActivationRecord {
+                    reported_code: r.u64("reported_code")?,
+                    group: u8::try_from(r.u64("group")?)
+                        .map_err(|_| r.wrong("group", "at most 255"))?,
+                    key: UnlockKey {
+                        values: r.u64_arr("key")?,
+                    },
+                };
+                r.finish()?;
+                Ok(record)
             })
             .collect::<Result<Vec<_>, MeteringError>>()?;
         Ok(designer)
@@ -505,22 +456,6 @@ const DATABASE_VERSION: u64 = 1;
 
 fn key_to_json(key: &UnlockKey) -> Json {
     Json::Arr(key.values.iter().map(|&v| Json::U64(v)).collect())
-}
-
-fn key_from_json(j: &Json) -> Result<UnlockKey, MeteringError> {
-    let values = j
-        .as_arr()
-        .ok_or_else(|| MeteringError::InvalidOptions {
-            reason: "key must be an array".to_string(),
-        })?
-        .iter()
-        .map(|v| {
-            v.as_u64().ok_or_else(|| MeteringError::InvalidOptions {
-                reason: "key symbol must be an unsigned integer".to_string(),
-            })
-        })
-        .collect::<Result<Vec<u64>, _>>()?;
-    Ok(UnlockKey { values })
 }
 
 /// Exact structural JSON for an [`hwm_fsm::Stg`]: state order, transition
@@ -565,30 +500,15 @@ fn stg_from_json(j: &Json) -> Result<hwm_fsm::Stg, MeteringError> {
     let bad = |reason: &str| MeteringError::InvalidOptions {
         reason: reason.to_string(),
     };
-    let inputs = j
-        .get("inputs")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| bad("STG missing inputs"))?;
-    let outputs = j
-        .get("outputs")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| bad("STG missing outputs"))?;
-    let mut stg = hwm_fsm::Stg::new(inputs, outputs);
-    if let Some(name) = j.get("name").and_then(Json::as_str) {
+    let mut f = StrictObj::new(j, "STG")?;
+    let mut stg = hwm_fsm::Stg::new(f.u64("inputs")? as usize, f.u64("outputs")? as usize);
+    if let Some(name) = f.opt_str("name")? {
         stg.set_name(name);
     }
-    let states = j
-        .get("states")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("STG missing states"))?;
-    for s in states {
+    for s in f.arr("states")? {
         stg.add_state(s.as_str().ok_or_else(|| bad("state name must be a string"))?);
     }
-    for t in j
-        .get("transitions")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("STG missing transitions"))?
-    {
+    for t in f.arr("transitions")? {
         let fields = t.as_arr().filter(|f| f.len() == 4).ok_or_else(|| {
             bad("transition must be [from, input, to, output]")
         })?;
@@ -610,12 +530,12 @@ fn stg_from_json(j: &Json) -> Result<hwm_fsm::Stg, MeteringError> {
             reason: format!("bad transition: {e}"),
         })?;
     }
-    let reset = j
-        .get("reset")
-        .and_then(Json::as_usize)
-        .filter(|&i| i < stg.state_count())
-        .ok_or_else(|| bad("STG missing reset state"))?;
+    let reset = f.u64("reset")? as usize;
+    if reset >= stg.state_count() {
+        return Err(bad("STG reset state out of range"));
+    }
     stg.set_reset(hwm_fsm::StateId::from_index(reset));
+    f.finish()?;
     Ok(stg)
 }
 

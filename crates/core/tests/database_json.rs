@@ -102,18 +102,23 @@ proptest! {
         }
     }
 
-    /// Unknown fields are rejected, whatever their name and value.
+    /// Unknown fields are rejected, whatever their name and value, and
+    /// so is a second copy of any known field (never read last-wins).
     #[test]
     fn lock_options_reject_unknown_fields(
         options in arb_options(),
         tag in any::<u32>(),
         value in any::<u64>(),
+        victim in 0usize..10,
     ) {
         let name = format!("unknown_knob_{tag}");
         let mut fields = match options.to_json() {
             Json::Obj(fields) => fields,
             _ => unreachable!("to_json returns an object"),
         };
+        let duplicate = fields[victim].clone();
+        let mut duplicated = fields.clone();
+        duplicated.push((duplicate.0.clone(), Json::U64(value)));
         fields.push((name.clone(), Json::U64(value)));
         match LockOptions::from_json(&Json::Obj(fields)) {
             Err(MeteringError::InvalidOptions { reason }) => {
@@ -123,6 +128,16 @@ proptest! {
                 );
             }
             other => prop_assert!(false, "unknown {name:?} must fail, got {other:?}"),
+        }
+        let name = duplicate.0;
+        match LockOptions::from_json(&Json::Obj(duplicated)) {
+            Err(MeteringError::InvalidOptions { reason }) => {
+                prop_assert!(
+                    reason.contains("duplicate") && reason.contains(&name),
+                    "error {reason:?} must name the duplicated field {name:?}"
+                );
+            }
+            other => prop_assert!(false, "duplicated {name:?} must fail, got {other:?}"),
         }
     }
 

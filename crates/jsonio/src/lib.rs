@@ -14,11 +14,35 @@
 //!    evaluation harness extends to its JSON artifacts.
 //! 3. **Strict, total parsing.** The parser accepts exactly the JSON this
 //!    crate writes (plus standard whitespace), never panics on malformed
-//!    input, and reports positioned errors.
+//!    input, and reports positioned errors. Decoders then read objects
+//!    through [`StrictObj`], which refuses unknown, duplicated, missing
+//!    and wrong-typed fields by name.
+//!
+//! The crate also holds the workspace's one 64-bit FNV-1a ([`fnv1a`]),
+//! which the journal digest, span ids, metrics sharding and ring
+//! placement all build on.
 
 #![forbid(unsafe_code)]
 
+mod strict;
+
+pub use strict::{FieldError, StrictObj};
+
 use std::fmt;
+
+/// The 64-bit FNV-1a offset basis: the hash of no bytes.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running 64-bit FNV-1a state; start from
+/// [`FNV_BASIS`].
+#[inline]
+pub fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    state
+}
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -498,6 +522,15 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding is incremental: split input hashes the same.
+        assert_eq!(fnv1a(fnv1a(FNV_BASIS, b"foo"), b"bar"), fnv1a(FNV_BASIS, b"foobar"));
     }
 
     #[test]

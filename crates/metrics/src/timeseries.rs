@@ -16,7 +16,7 @@
 //! stream that downstream goldens pin byte-for-byte.
 
 use crate::{MetricClass, MetricKind, Snapshot, SnapshotError, SeriesValue};
-use hwm_jsonio::Json;
+use hwm_jsonio::{Json, StrictObj};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -471,38 +471,24 @@ impl HistoryDump {
     ///
     /// Returns a [`SnapshotError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<HistoryDump, SnapshotError> {
-        let fields = match j {
-            Json::Obj(fields) => fields,
-            _ => return Err(err("history must be a JSON object")),
-        };
-        let (mut schema, mut stride, mut capacity, mut series_json) = (None, None, None, None);
-        for (k, v) in fields {
-            match k.as_str() {
-                "schema" => schema = v.as_u64(),
-                "stride" => stride = v.as_u64(),
-                "capacity" => capacity = v.as_u64(),
-                "series" => series_json = v.as_arr(),
-                other => return Err(err(format!("history has unknown field {other:?}"))),
-            }
-        }
-        let schema = schema.ok_or_else(|| err("history missing or ill-typed field \"schema\""))?;
+        let mut fields = StrictObj::new(j, "history")?;
+        let schema = fields.u64("schema")?;
         if schema != HISTORY_SCHEMA_VERSION {
             return Err(err(format!(
                 "unsupported history schema {schema} (expected {HISTORY_SCHEMA_VERSION})"
             )));
         }
-        let series_json =
-            series_json.ok_or_else(|| err("history missing field \"series\""))?;
-        let mut series = Vec::with_capacity(series_json.len());
-        for sj in series_json {
-            series.push(dump_series_from_json(sj)?);
-        }
-        Ok(HistoryDump {
-            stride: stride.ok_or_else(|| err("history missing or ill-typed field \"stride\""))?,
-            capacity: capacity
-                .ok_or_else(|| err("history missing or ill-typed field \"capacity\""))?,
-            series,
-        })
+        let dump = HistoryDump {
+            stride: fields.u64("stride")?,
+            capacity: fields.u64("capacity")?,
+            series: fields
+                .arr("series")?
+                .iter()
+                .map(dump_series_from_json)
+                .collect::<Result<_, _>>()?,
+        };
+        fields.finish()?;
+        Ok(dump)
     }
 }
 
@@ -513,28 +499,16 @@ fn err(message: impl Into<String>) -> SnapshotError {
 }
 
 fn dump_series_from_json(j: &Json) -> Result<DumpSeries, SnapshotError> {
-    let fields = match j {
-        Json::Obj(fields) => fields,
-        _ => return Err(err("history series must be a JSON object")),
-    };
-    let (mut name, mut labels, mut kind, mut samples_json) = (None, None, None, None);
-    for (k, v) in fields {
-        match k.as_str() {
-            "name" => name = v.as_str().map(str::to_string),
-            "labels" => labels = Some(labels_from_json(v)?),
-            "kind" => kind = v.as_str().and_then(MetricKind::parse),
-            "samples" => samples_json = v.as_arr(),
-            other => return Err(err(format!("history series has unknown field {other:?}"))),
-        }
-    }
-    let name = name.ok_or_else(|| err("history series missing or ill-typed \"name\""))?;
-    let kind =
-        kind.ok_or_else(|| err(format!("history series {name:?} missing or unknown \"kind\"")))?;
+    let mut f = StrictObj::new(j, "history series")?;
+    let name = f.str("name")?.to_string();
+    let labels = labels_from_json(f.req("labels")?)?;
+    let kind = MetricKind::parse(f.str("kind")?)
+        .ok_or_else(|| f.wrong("kind", "\"counter\" or \"gauge\""))?;
     if kind == MetricKind::Histogram {
         return Err(err(format!("history series {name:?}: histograms are never sampled")));
     }
-    let samples_json =
-        samples_json.ok_or_else(|| err(format!("history series {name:?} missing \"samples\"")))?;
+    let samples_json = f.arr("samples")?;
+    f.finish()?;
     let mut samples = Vec::with_capacity(samples_json.len());
     for sj in samples_json {
         let pair = sj
@@ -556,7 +530,7 @@ fn dump_series_from_json(j: &Json) -> Result<DumpSeries, SnapshotError> {
     }
     Ok(DumpSeries {
         name,
-        labels: labels.ok_or_else(|| err("history series missing \"labels\""))?,
+        labels,
         kind,
         samples,
     })
@@ -718,6 +692,14 @@ mod tests {
             fields.push(("extra".into(), Json::U64(1)));
         }
         assert!(HistoryDump::from_json(&j).unwrap_err().message.contains("unknown field"));
+        let mut j = good.clone();
+        if let Json::Obj(fields) = &mut j {
+            fields.push(("stride".into(), Json::U64(8)));
+        }
+        assert!(HistoryDump::from_json(&j)
+            .unwrap_err()
+            .message
+            .contains("duplicate field \"stride\""));
         let mut j = good.clone();
         if let Json::Obj(fields) = &mut j {
             fields[0].1 = Json::U64(99);

@@ -53,7 +53,7 @@ use crate::fault::FaultyStore;
 use crate::snapshot::{snapshot_path, RegistrySnapshot};
 use crate::storage::{FileStore, FlushPolicy, JournalStore};
 use crate::wire::WireError;
-use hwm_jsonio::Json;
+use hwm_jsonio::{Json, StrictObj};
 use hwm_metrics::{MetricClass, MetricsRegistry, LATENCY_BUCKETS_NS};
 use std::collections::HashMap;
 use std::fmt;
@@ -582,20 +582,22 @@ impl Registry {
         lineno: usize,
         skip_through: u64,
     ) -> Result<(), LineError> {
-        let fail = |what: &str| LineError {
-            line: lineno,
-            detail: what.to_string(),
-        };
-        let j = Json::parse(line).map_err(|e| fail(&format!("not JSON: {e}")))?;
-        let event = j
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail("missing event"))?
-            .to_string();
-        let seq = j
-            .get("seq")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| fail("missing seq"))?;
+        self.apply_journal_event(line, skip_through)
+            .map_err(|e| LineError {
+                line: lineno,
+                detail: e.to_string(),
+            })
+    }
+
+    fn apply_journal_event(
+        &mut self,
+        line: &str,
+        skip_through: u64,
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let j = Json::parse(line).map_err(|e| format!("not JSON: {e}"))?;
+        let mut f = StrictObj::new(&j, "journal line")?;
+        let event = f.str("event")?;
+        let seq = f.u64("seq")?;
         if seq <= skip_through {
             // Already folded into the snapshot: a crash between the
             // snapshot rename and the journal truncation leaves these
@@ -603,53 +605,44 @@ impl Registry {
             return Ok(());
         }
         if seq != self.seq + 1 {
-            return Err(fail(&format!(
-                "seq {seq} out of order (expected {})",
-                self.seq + 1
-            )));
+            return Err(format!("seq {seq} out of order (expected {})", self.seq + 1).into());
         }
-        let str_field = |name: &str| {
-            j.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| fail(&format!("missing {name}")))
-        };
-        let apply = match event.as_str() {
-            "register" => self.register(
-                &str_field("client")?,
-                &str_field("ic")?,
-                &str_field("readout")?,
-                j.get("group")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| fail("missing group"))? as u8,
-            ),
+        let apply = match event {
+            "register" => {
+                let (client, ic, readout) = (f.str("client")?, f.str("ic")?, f.str("readout")?);
+                let group =
+                    u8::try_from(f.u64("group")?).map_err(|_| f.wrong("group", "at most 255"))?;
+                f.finish()?;
+                self.register(client, ic, readout, group)
+            }
             "duplicate" => {
                 // Replaying the rejection re-runs the detector; it must
                 // reject again, which re-counts the duplicate.
-                let client = str_field("client")?;
-                let ic = str_field("ic")?;
-                let prior = str_field("prior")?;
+                let (client, ic, prior) = (f.str("client")?, f.str("ic")?, f.str("prior")?);
+                f.finish()?;
                 let readout = self
                     .by_ic
-                    .get(&prior)
+                    .get(prior)
                     .map(|&i| self.records[i].readout.clone())
-                    .ok_or_else(|| fail("duplicate names unknown prior IC"))?;
-                match self.register(&client, &ic, &readout, 0) {
+                    .ok_or("duplicate names unknown prior IC")?;
+                match self.register(client, ic, &readout, 0) {
                     Err(RegistryError::DuplicateReadout { .. }) => Ok(()),
-                    _ => return Err(fail("duplicate event did not re-collide")),
+                    _ => return Err("duplicate event did not re-collide".into()),
                 }
             }
-            "unlock" => self.mark_unlocked(
-                &str_field("ic")?,
-                j.get("key_len")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| fail("missing key_len"))?,
-                &str_field("client")?,
-            ),
-            "disable" => self.mark_disabled(&str_field("ic")?, &str_field("client")?),
-            other => return Err(fail(&format!("unknown event {other:?}"))),
+            "unlock" => {
+                let (ic, client, key_len) = (f.str("ic")?, f.str("client")?, f.u64("key_len")?);
+                f.finish()?;
+                self.mark_unlocked(ic, key_len as usize, client)
+            }
+            "disable" => {
+                let (ic, client) = (f.str("ic")?, f.str("client")?);
+                f.finish()?;
+                self.mark_disabled(ic, client)
+            }
+            other => return Err(format!("unknown event {other:?}").into()),
         };
-        apply.map_err(|e| fail(&format!("replay rejected: {e}")))
+        apply.map_err(|e| format!("replay rejected: {e}").into())
     }
 
     fn append(&mut self, event: &'static str, line: Json) -> Result<(), RegistryError> {
@@ -1074,17 +1067,10 @@ impl Drop for Registry {
     }
 }
 
-/// FNV-1a offset basis (the digest of an empty journal).
-pub const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds more bytes into a rolling FNV-1a state.
-pub fn digest_update(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    state
-}
+/// The journal digest is the workspace's one FNV-1a: `DIGEST_BASIS` is
+/// the digest of an empty journal, and `digest_update` folds more bytes
+/// into a rolling digest.
+pub use hwm_jsonio::{fnv1a as digest_update, FNV_BASIS as DIGEST_BASIS};
 
 /// FNV-1a digest of journal bytes — a compact fingerprint for the
 /// determinism checks ("byte-identical journal for every `--jobs`").
@@ -1183,6 +1169,11 @@ mod tests {
             ("not json\n", "line 1"),
             ("{\"event\":\"register\",\"seq\":2}\n", "seq 2 out of order"),
             ("{\"event\":\"warp\",\"seq\":1}\n", "unknown event"),
+            ("{\"event\":\"disable\",\"seq\":1,\"seq\":1}\n", "duplicate field \"seq\""),
+            (
+                "{\"event\":\"disable\",\"seq\":1,\"ic\":\"x\",\"client\":\"c\",\"why\":1}\n",
+                "unknown field \"why\"",
+            ),
             (
                 "{\"event\":\"unlock\",\"seq\":1,\"ic\":\"x\",\"client\":\"c\",\"key_len\":2}\n",
                 "replay rejected",
@@ -1191,6 +1182,21 @@ mod tests {
             let err = Registry::replay(text).unwrap_err();
             assert!(err.message.contains(needle), "{text:?} -> {err}");
         }
+    }
+
+    #[test]
+    fn replay_rejects_groups_that_do_not_fit_a_byte() {
+        let line = |group: u64| {
+            format!(
+                "{{\"event\":\"register\",\"seq\":1,\"ic\":\"x\",\"client\":\"c\",\
+                 \"readout\":\"0101\",\"group\":{group}}}\n"
+            )
+        };
+        let r = Registry::replay(&line(255)).expect("255 fits a group byte");
+        assert_eq!(r.by_ic("x").unwrap().group, 255);
+        // 258 must not wrap to group 2.
+        let err = Registry::replay(&line(258)).unwrap_err();
+        assert!(err.message.contains("field \"group\""), "{err}");
     }
 
     #[test]

@@ -24,13 +24,15 @@
 //! Keys are never snapshotted, for the same reason they are never
 //! journaled.
 //!
-//! Parsing is strict in the same spirit as the wire layer: unknown
-//! fields, missing fields, or a wrong `schema` are hard errors — a
+//! Parsing is strict in the same spirit as the wire layer (the same
+//! `hwm_jsonio::StrictObj` reader): unknown, duplicated, missing or
+//! wrong-typed fields, a `group` above 255, or a wrong `schema` are hard
+//! errors — a
 //! snapshot is trusted state, and silently ignoring what we do not
 //! understand would corrupt recovery.
 
 use crate::registry::{CloneEvidence, IcRecord, IcState};
-use hwm_jsonio::Json;
+use hwm_jsonio::{Json, StrictObj};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -64,31 +66,6 @@ pub fn snapshot_path(journal_path: &Path) -> PathBuf {
 
 fn invalid(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-fn obj_fields<'a>(j: &'a Json, what: &str, allowed: &[&str]) -> io::Result<&'a [(String, Json)]> {
-    let Json::Obj(fields) = j else {
-        return Err(invalid(format!("snapshot {what} is not an object")));
-    };
-    for (k, _) in fields {
-        if !allowed.contains(&k.as_str()) {
-            return Err(invalid(format!("snapshot {what} has unknown field {k:?}")));
-        }
-    }
-    Ok(fields)
-}
-
-fn u64_field(j: &Json, what: &str, name: &str) -> io::Result<u64> {
-    j.get(name)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| invalid(format!("snapshot {what} missing {name}")))
-}
-
-fn str_field(j: &Json, what: &str, name: &str) -> io::Result<String> {
-    j.get(name)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| invalid(format!("snapshot {what} missing {name}")))
 }
 
 impl RegistrySnapshot {
@@ -141,62 +118,59 @@ impl RegistrySnapshot {
     /// sequence numbers.
     pub fn from_json(text: &str) -> io::Result<RegistrySnapshot> {
         let j = Json::parse(text).map_err(|e| invalid(format!("snapshot is not JSON: {e}")))?;
-        obj_fields(&j, "document", &["schema", "seq", "digest", "records", "clones"])?;
-        let schema = u64_field(&j, "document", "schema")?;
+        let mut doc = StrictObj::new(&j, "snapshot document")?;
+        let schema = doc.u64("schema")?;
         if schema != SNAPSHOT_SCHEMA {
             return Err(invalid(format!(
                 "snapshot schema {schema} unsupported (expected {SNAPSHOT_SCHEMA})"
             )));
         }
-        let seq = u64_field(&j, "document", "seq")?;
-        let digest = u64_field(&j, "document", "digest")?;
-        let records_json = j
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| invalid("snapshot missing records array"))?;
+        let seq = doc.u64("seq")?;
+        let digest = doc.u64("digest")?;
+        let in_range = |what: &str, item_seq: u64| {
+            if item_seq == 0 || item_seq > seq {
+                return Err(invalid(format!(
+                    "{what} seq {item_seq} outside journal range 1..={seq}"
+                )));
+            }
+            Ok(item_seq)
+        };
+        let records_json = doc.arr("records")?;
         let mut records = Vec::with_capacity(records_json.len());
-        for (i, r) in records_json.iter().enumerate() {
-            let what = format!("record {i}");
-            obj_fields(r, &what, &["ic", "client", "readout", "group", "state", "seq"])?;
-            let state_name = str_field(r, &what, "state")?;
-            let state = IcState::parse(&state_name)
-                .ok_or_else(|| invalid(format!("snapshot {what} has unknown state {state_name:?}")))?;
-            let record_seq = u64_field(r, &what, "seq")?;
-            if record_seq == 0 || record_seq > seq {
-                return Err(invalid(format!(
-                    "snapshot {what} seq {record_seq} outside journal range 1..={seq}"
-                )));
-            }
-            records.push(IcRecord {
-                ic: str_field(r, &what, "ic")?,
-                client: str_field(r, &what, "client")?,
-                readout: str_field(r, &what, "readout")?,
-                group: u64_field(r, &what, "group")? as u8,
-                state,
-                seq: record_seq,
-            });
+        for (i, rj) in records_json.iter().enumerate() {
+            let what = format!("snapshot record {i}");
+            let mut r = StrictObj::new(rj, &what)?;
+            let record = IcRecord {
+                ic: r.str("ic")?.into(),
+                client: r.str("client")?.into(),
+                readout: r.str("readout")?.into(),
+                group: u8::try_from(r.u64("group")?)
+                    .map_err(|_| r.wrong("group", "at most 255"))?,
+                state: {
+                    let name = r.str("state")?;
+                    IcState::parse(name)
+                        .ok_or_else(|| invalid(format!("{what} has unknown state {name:?}")))?
+                },
+                seq: in_range(&what, r.u64("seq")?)?,
+            };
+            r.finish()?;
+            records.push(record);
         }
-        let clones_json = j
-            .get("clones")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| invalid("snapshot missing clones array"))?;
+        let clones_json = doc.arr("clones")?;
         let mut clones = Vec::with_capacity(clones_json.len());
-        for (i, c) in clones_json.iter().enumerate() {
-            let what = format!("clone {i}");
-            obj_fields(c, &what, &["seq", "ic", "client", "prior"])?;
-            let clone_seq = u64_field(c, &what, "seq")?;
-            if clone_seq == 0 || clone_seq > seq {
-                return Err(invalid(format!(
-                    "snapshot {what} seq {clone_seq} outside journal range 1..={seq}"
-                )));
-            }
-            clones.push(CloneEvidence {
-                seq: clone_seq,
-                ic: str_field(c, &what, "ic")?,
-                client: str_field(c, &what, "client")?,
-                prior: str_field(c, &what, "prior")?,
-            });
+        for (i, cj) in clones_json.iter().enumerate() {
+            let what = format!("snapshot clone {i}");
+            let mut c = StrictObj::new(cj, &what)?;
+            let clone = CloneEvidence {
+                seq: in_range(&what, c.u64("seq")?)?,
+                ic: c.str("ic")?.into(),
+                client: c.str("client")?.into(),
+                prior: c.str("prior")?.into(),
+            };
+            c.finish()?;
+            clones.push(clone);
         }
+        doc.finish()?;
         Ok(RegistrySnapshot {
             seq,
             digest,
@@ -291,7 +265,10 @@ mod tests {
         let good = sample().to_json();
         for (mutate, needle) in [
             (good.replace("\"schema\":1", "\"schema\":2"), "schema 2"),
-            (good.replace("\"digest\":", "\"digset\":"), "unknown field"),
+            (good.replace("\"digest\":", "\"digset\":"), "missing field \"digest\""),
+            (good.replace("\"clones\":", "\"clones\":[],\"extra\":"), "unknown field \"extra\""),
+            (good.replace("\"digest\":", "\"seq\":0,\"digest\":"), "duplicate field \"seq\""),
+            (good.replace("\"group\":2", "\"group\":258"), "field \"group\""),
             (good.replace("\"state\":\"unlocked\"", "\"state\":\"molten\""), "unknown state"),
             (good.replace("\"seq\":3,\"ic\":\"ic-2\"", "\"seq\":9,\"ic\":\"ic-2\""), "outside journal range"),
             ("nope".to_string(), "not JSON"),

@@ -183,7 +183,8 @@ proptest! {
     }
 
     /// Injecting an unknown field anywhere in an admin frame fails the
-    /// parse — the strict contract that catches version skew.
+    /// parse — the strict contract that catches version skew — and so
+    /// does repeating a field the frame already carries.
     #[test]
     fn admin_frames_reject_unknown_fields(client in arb_label(), snapshot in arb_snapshot()) {
         let frames = [
@@ -199,14 +200,23 @@ proptest! {
                 Json::Obj(fields) => fields,
                 _ => unreachable!("frames are objects"),
             };
+            let mut duplicated = fields.clone();
+            duplicated.push(fields[1].clone());
             fields.push(("smuggled".into(), Json::U64(1)));
-            let tampered = Json::Obj(fields);
-            let rejected = if i < 3 {
-                Request::from_json(&tampered).is_err()
-            } else {
-                Response::from_json(&tampered).is_err()
+            let parse = |j: &Json| {
+                if i < 3 {
+                    Request::from_json(j).map(drop).map_err(|e| e.message)
+                } else {
+                    Response::from_json(j).map(drop).map_err(|e| e.message)
+                }
             };
-            prop_assert!(rejected, "frame {i} accepted an unknown field");
+            prop_assert!(parse(&Json::Obj(fields)).is_err(), "frame {i} accepted an unknown field");
+            let err = parse(&Json::Obj(duplicated.clone()));
+            prop_assert!(
+                err.as_ref().is_err_and(|m| m.contains("duplicate field")),
+                "frame {i} accepted a duplicated {:?}: {err:?}",
+                duplicated[1].0
+            );
         }
     }
 

@@ -30,7 +30,7 @@
 //! exactly the property that lets trace dumps be golden-snapshot
 //! material.
 
-use hwm_jsonio::Json;
+use hwm_jsonio::{fnv1a, FieldError, Json, StrictObj, FNV_BASIS};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
@@ -41,19 +41,8 @@ pub const SPAN_SCHEMA_VERSION: u64 = 1;
 /// Default per-node span ring capacity (spans, not traces).
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 fn fnv_u64(hash: u64, value: u64) -> u64 {
-    fnv_bytes(hash, &value.to_le_bytes())
+    fnv1a(hash, &value.to_le_bytes())
 }
 
 /// A broken span dump or trace-context payload.
@@ -79,6 +68,12 @@ impl fmt::Display for SpanError {
 
 impl std::error::Error for SpanError {}
 
+impl From<FieldError> for SpanError {
+    fn from(e: FieldError) -> SpanError {
+        SpanError::new(e.message)
+    }
+}
+
 /// The trace identity a request carries across node boundaries.
 ///
 /// `parent_span == 0` means "this context roots the trace": the first
@@ -101,8 +96,8 @@ impl TraceContext {
         let mut h = FNV_BASIS;
         h = fnv_u64(h, seed);
         h = fnv_u64(h, tick);
-        h = fnv_bytes(h, client.as_bytes());
-        h = fnv_bytes(h, kind.as_bytes());
+        h = fnv1a(h, client.as_bytes());
+        h = fnv1a(h, kind.as_bytes());
         // Trace id 0 is reserved as "absent" in exemplars; remap.
         TraceContext {
             trace_id: if h == 0 { FNV_BASIS } else { h },
@@ -136,11 +131,11 @@ impl TraceContext {
     ///
     /// Returns a [`SpanError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<TraceContext, SpanError> {
-        let fields = StrictObj::new(j, "trace context")?;
+        let mut fields = StrictObj::new(j, "trace context")?;
         let ctx = TraceContext {
-            trace_id: fields.u64_field("trace_id")?,
-            parent_span: fields.u64_field("parent_span")?,
-            tick: fields.u64_field("tick")?,
+            trace_id: fields.u64("trace_id")?,
+            parent_span: fields.u64("parent_span")?,
+            tick: fields.u64("tick")?,
         };
         fields.finish()?;
         Ok(ctx)
@@ -154,7 +149,7 @@ pub fn span_id(trace_id: u64, parent: u64, name: &str, index: u64) -> u64 {
     let mut h = FNV_BASIS;
     h = fnv_u64(h, trace_id);
     h = fnv_u64(h, parent);
-    h = fnv_bytes(h, name.as_bytes());
+    h = fnv1a(h, name.as_bytes());
     h = fnv_u64(h, index);
     if h == 0 {
         FNV_BASIS
@@ -238,8 +233,8 @@ impl SpanRecord {
     ///
     /// Returns a [`SpanError`] naming the offending field.
     pub fn from_json(j: &Json) -> Result<SpanRecord, SpanError> {
-        let fields = StrictObj::new(j, "span record")?;
-        let attrs = match fields.json_field("attrs")? {
+        let mut fields = StrictObj::new(j, "span record")?;
+        let attrs = match fields.req("attrs")? {
             Json::Obj(pairs) => pairs
                 .iter()
                 .map(|(k, v)| {
@@ -248,16 +243,16 @@ impl SpanRecord {
                         .ok_or_else(|| SpanError::new(format!("attr {k:?} must be a string")))
                 })
                 .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(SpanError::new("field \"attrs\" must be an object")),
+            _ => return Err(fields.wrong("attrs", "an object").into()),
         };
         let span = SpanRecord {
-            trace_id: fields.u64_field("trace_id")?,
-            span_id: fields.u64_field("span_id")?,
-            parent: fields.u64_field("parent")?,
-            name: fields.str_field("name")?,
-            node: fields.str_field("node")?,
-            tick: fields.u64_field("tick")?,
-            units: fields.u64_field("units")?,
+            trace_id: fields.u64("trace_id")?,
+            span_id: fields.u64("span_id")?,
+            parent: fields.u64("parent")?,
+            name: fields.str("name")?.into(),
+            node: fields.str("node")?.into(),
+            tick: fields.u64("tick")?,
+            units: fields.u64("units")?,
             attrs,
         };
         fields.finish()?;
@@ -509,67 +504,6 @@ pub fn render_traces(trees: &[TraceTree]) -> String {
     out
 }
 
-/// Strict object reader (every field consumed exactly once) — the wire
-/// codec's idiom, copied because the service keeps its reader private.
-struct StrictObj<'a> {
-    what: &'static str,
-    fields: &'a [(String, Json)],
-    used: std::cell::RefCell<Vec<bool>>,
-}
-
-impl<'a> StrictObj<'a> {
-    fn new(j: &'a Json, what: &'static str) -> Result<StrictObj<'a>, SpanError> {
-        match j {
-            Json::Obj(fields) => Ok(StrictObj {
-                what,
-                fields,
-                used: std::cell::RefCell::new(vec![false; fields.len()]),
-            }),
-            _ => Err(SpanError::new(format!("{what} must be a JSON object"))),
-        }
-    }
-
-    fn take(&self, name: &str) -> Option<&'a Json> {
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if k == name && !self.used.borrow()[i] {
-                self.used.borrow_mut()[i] = true;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn json_field(&self, name: &'static str) -> Result<&'a Json, SpanError> {
-        self.take(name)
-            .ok_or_else(|| SpanError::new(format!("{} missing field {name:?}", self.what)))
-    }
-
-    fn str_field(&self, name: &'static str) -> Result<String, SpanError> {
-        self.json_field(name)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| SpanError::new(format!("field {name:?} must be a string")))
-    }
-
-    fn u64_field(&self, name: &'static str) -> Result<u64, SpanError> {
-        self.json_field(name)?
-            .as_u64()
-            .ok_or_else(|| SpanError::new(format!("field {name:?} must be an unsigned integer")))
-    }
-
-    fn finish(&self) -> Result<(), SpanError> {
-        for (i, (k, _)) in self.fields.iter().enumerate() {
-            if !self.used.borrow()[i] {
-                return Err(SpanError::new(format!(
-                    "{} has unknown field {k:?}",
-                    self.what
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,6 +569,15 @@ mod tests {
         j.push(("extra".into(), Json::U64(1)));
         let err = TraceContext::from_json(&Json::Obj(j)).unwrap_err();
         assert!(err.message.contains("unknown field"), "{}", err.message);
+
+        // Tamper: duplicated field refused.
+        let mut j = match ctx.to_json() {
+            Json::Obj(f) => f,
+            _ => unreachable!(),
+        };
+        j.push(("tick".into(), Json::U64(9)));
+        let err = TraceContext::from_json(&Json::Obj(j)).unwrap_err();
+        assert!(err.message.contains("duplicate field \"tick\""), "{}", err.message);
 
         // Tamper: wrong type refused.
         let bad = Json::obj(vec![
