@@ -12,19 +12,14 @@
 //! `--shards N` (default 3), `--replicas N` followers per shard
 //! (default 2), `--vnodes N` (default 64), `--clients N`,
 //! `--per-client N`, `--crashes N` (default 1), `--tcp` to carry the
-//! replication frames over real sockets, `--rep-window N` to coalesce
-//! untraced replication batches (default 1; every compared byte is
-//! window-independent), `--smoke` for the small CI workload,
-//! `--overhead` to time the replication-window lever (windowed vs
-//! unwindowed requests/s, recorded as `bench_meta.json` gauges),
-//! `--traces-out PATH` to dump the router's span ring as
+//! replication frames over real sockets, `--smoke` for the small CI
+//! workload, `--traces-out PATH` to dump the router's span ring as
 //! JSONL (one assembled span tree per routed request — the input
 //! format of `hwm_traces`; byte-identical for any `--jobs` and either
 //! transport). Exits 1 if the recovered cluster diverges from the
 //! single-node oracle, 2 on bad flags.
 
-use hwm_bench::cluster::{replication_window_rps, run_cluster_sim, ClusterSimConfig};
-use hwm_trace::GaugeAgg;
+use hwm_bench::cluster::{run_cluster_sim, ClusterSimConfig};
 
 fn main() {
     let run = hwm_bench::run::BenchRun::start("cluster_bench");
@@ -48,45 +43,9 @@ fn main() {
         crashes: parse("--crashes", defaults.crashes),
         jobs: run.jobs(),
         tcp: hwm_bench::flag_present("--tcp"),
-        rep_window: parse("--rep-window", defaults.rep_window),
         ..defaults
     };
     let traces_out = hwm_bench::arg_value("--traces-out");
-    // --overhead isolates the replication fan-out lever before the sim:
-    // the same fault-free workload at window 1 vs the configured window
-    // (default 8 when --rep-window was not raised), recorded as gauges.
-    if hwm_bench::flag_present("--overhead") {
-        let window = if config.rep_window > 1 { config.rep_window } else { 8 };
-        let unwindowed = replication_window_rps(&config, 1);
-        let windowed = replication_window_rps(&config, window);
-        match (unwindowed, windowed) {
-            (Ok(base), Ok(fast)) => {
-                hwm_trace::record_gauge(
-                    "cluster_throughput_rep_window_1_rps",
-                    GaugeAgg::Set,
-                    base as u64,
-                );
-                hwm_trace::record_gauge(
-                    "cluster_throughput_rep_window_n_rps",
-                    GaugeAgg::Set,
-                    fast as u64,
-                );
-                hwm_trace::record_gauge(
-                    "cluster_speedup_rep_window_milli",
-                    GaugeAgg::Set,
-                    (fast / base.max(1e-9) * 1000.0) as u64,
-                );
-                eprintln!(
-                    "cluster_bench: replication window: {base:.0} req/s at window 1 | {fast:.0} req/s at window {window} ({:.2}x, followers converged)",
-                    fast / base.max(1e-9),
-                );
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("cluster_bench: replication-window overhead failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     match run_cluster_sim(&config) {
         Ok(outcome) => {
             if let Some(path) = &traces_out {

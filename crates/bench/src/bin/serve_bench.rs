@@ -16,14 +16,9 @@
 //! `--port N`) and reports the chosen address on stderr so scripts can
 //! attach `hwm_monitor`; `--hold SECS` keeps the TCP server listening
 //! after the workload; `--metrics-out PATH` writes the final Prometheus
-//! exposition; `--alerts-out PATH` writes the alert-transition JSONL
-//! (and installs the stock fleet rules); `--json` prints the report as
-//! one JSON object; and `--overhead` reruns the same plans with metrics
-//! collection disabled, again with time-series sampling disabled, and
-//! as a traced/untraced pair, to measure instrumentation cost (gauges
-//! `serve_throughput_metrics_{on,off}_rps`,
-//! `serve_throughput_sampling_off_rps`,
-//! `serve_throughput_tracing_{on,off}_rps`).
+//! exposition; `--json` prints the report as one JSON object; and
+//! `--journal PATH` backs the registry with a file journal instead of
+//! memory.
 //!
 //! Tracing: `--traces-out PATH` arms distributed tracing
 //! (`ServerConfig::trace_seed`) on the benched server and writes its
@@ -32,40 +27,26 @@
 //! byte-identical for any `--jobs`; over `--tcp` span order follows the
 //! scheduler.
 //!
-//! Attack mode: `--campaign clone` adds a coordinated clone campaign to
-//! the workload ([`hwm_bench::serve::clone_campaign_plans`]) and
-//! installs the stock alert rules — the `duplicate_readout_spike` rule
-//! fires at a deterministic tick over the in-process transport.
-//!
-//! Fault mode: `--faults KIND` (torn-write, disk-full, short-read,
-//! conn-drop) runs this workload through the crash/restart simulation
-//! ([`hwm_bench::sim`]) instead of the throughput benchmark — the server
-//! is killed `--crashes` times (default 3) at seeded ticks and recovered
-//! from its journal; the process exits 1 unless the recovered world
-//! matches the fault-free oracle exactly. `--compact-every N` turns on
-//! snapshot compaction during the simulated run.
+//! The crash/restart simulation and the clone-campaign alert run live
+//! in `crash_sim`; the repeated, per-layer serving measurement lives in
+//! `perfbench/`.
 //!
 //! Usage: `serve_bench [--clients N] [--per-client N] [--smoke] [--tcp]
-//!     [--port N] [--hold SECS] [--json] [--metrics-out PATH]
-//!     [--alerts-out PATH] [--traces-out PATH] [--campaign clone]
-//!     [--overhead] [--journal PATH] [--faults KIND] [--crashes N]
-//!     [--compact-every N] [--seed N] [--jobs N] [--profile]
-//!     [--trace-out P]`
+//!     [--port N] [--hold SECS] [--json] [--journal PATH]
+//!     [--metrics-out PATH] [--traces-out PATH] [--seed N] [--jobs N]
+//!     [--profile] [--trace-out P]`
 
 use hwm_bench::run::BenchRun;
 use hwm_bench::serve::{
-    bench_designer, build_plans, clone_campaign_plans, fleet_rules, server_config, submit_local,
-    submit_local_pipelined, submit_tcp, submit_tcp_pipelined, ClientPlan, Tally,
+    bench_designer, build_plans, server_config, submit_local, submit_tcp, Tally,
 };
-use hwm_bench::sim::SimConfig;
 use hwm_jsonio::Json;
 use hwm_metering::Foundry;
-use hwm_metrics::{HistoryConfig, LatencySummary};
-use hwm_service::registry::{journal_digest, RecoverOptions};
+use hwm_metrics::LatencySummary;
+use hwm_service::registry::journal_digest;
 use hwm_service::wire::readout_to_bits_string;
 use hwm_service::{
-    ActivationServer, Client, FaultKind, FlushPolicy, LocalClient, Registry, Request, Response,
-    ServerConfig, TcpServer,
+    ActivationServer, Client, LocalClient, Registry, Request, Response, ServerConfig, TcpServer,
 };
 use hwm_trace::GaugeAgg;
 use std::sync::Arc;
@@ -206,104 +187,6 @@ fn json_report(
     ])
 }
 
-/// Serving-path lever measurements (`--overhead`): best-of-pass req/s
-/// per flush-policy × pipeline-depth variant over single-connection
-/// loopback TCP, all against real file-backed journals.
-struct ServingPath {
-    /// Per-event fsync (`FlushPolicy::Sync`), one round trip per
-    /// request — the durable baseline group commit is measured against.
-    per_event_unpipelined_rps: f64,
-    /// Group commit alone (unpipelined).
-    group_commit_rps: f64,
-    /// Pipelining alone (per-event flush).
-    pipelined_rps: f64,
-    /// Both levers — the optimized serving path.
-    group_commit_pipelined_rps: f64,
-}
-
-/// Runs the plans against a fresh file-backed server under one
-/// flush/pipeline variant, three passes, and returns the best req/s
-/// plus the byte-identity evidence (journal digest after the explicit
-/// commit barrier, det-class snapshot, audit stream) — every variant
-/// must produce identical evidence or the bench aborts.
-///
-/// The measurement runs over loopback TCP on a *single* connection in
-/// the round-robin schedule order: one connection keeps the dispatch
-/// order (hence every deterministic byte) identical to the in-process
-/// transport, while still paying the real wire costs — the per-request
-/// syscall round trip that pipelining amortizes and the per-event
-/// fsync that group commit batches into one device round trip.
-fn serving_path_variant(
-    seed: u64,
-    plans: &[ClientPlan],
-    dir: &std::path::Path,
-    label: &str,
-    flush: FlushPolicy,
-    depth: usize,
-) -> (f64, u64, String, String) {
-    let schedule = hwm_bench::serve::round_robin(plans);
-    let mut best = 0.0f64;
-    let mut evidence = (0u64, String::new(), String::new());
-    for pass in 0..3 {
-        let path = dir.join(format!("{label}-{pass}.jsonl"));
-        let registry = Registry::open_with(
-            &path,
-            RecoverOptions {
-                flush,
-                ..RecoverOptions::default()
-            },
-        )
-        .expect("open overhead journal");
-        let server = Arc::new(ActivationServer::new(
-            bench_designer(seed),
-            registry,
-            ServerConfig {
-                flush,
-                ..server_config()
-            },
-        ));
-        let tcp = TcpServer::spawn(("127.0.0.1", 0), Arc::clone(&server))
-            .expect("bind overhead TCP server");
-        let mut client = hwm_service::TcpClient::connect(tcp.addr()).expect("connect");
-        // Warm the connection with an admin request (no clock tick, no
-        // journal append) so accept-loop latency stays out of the
-        // measured window.
-        let _ = client
-            .call(&Request::Metrics {
-                client: "overhead-warmup".into(),
-            })
-            .expect("warmup");
-        let t0 = Instant::now();
-        let mut requests = 0u64;
-        if depth > 1 {
-            for window in schedule.chunks(depth) {
-                requests += client
-                    .call_pipelined(window)
-                    .expect("pipelined overhead submission")
-                    .len() as u64;
-            }
-        } else {
-            for req in &schedule {
-                let _ = client.call(req).expect("overhead submission");
-                requests += 1;
-            }
-        }
-        best = best.max(requests as f64 / t0.elapsed().as_secs_f64().max(1e-9));
-        // The explicit group-commit barrier: any pending batch reaches
-        // the file before the bytes are read back, server still live.
-        server.commit_journal().expect("journal barrier");
-        let bytes = std::fs::read(&path).expect("read overhead journal");
-        evidence = (
-            journal_digest(&bytes),
-            server.snapshot().deterministic().to_prometheus(),
-            server.audit_jsonl(),
-        );
-        drop(client);
-        tcp.shutdown();
-    }
-    (best, evidence.0, evidence.1, evidence.2)
-}
-
 fn main() {
     let run = BenchRun::start("serve_bench");
     let seed = run.seed();
@@ -327,214 +210,25 @@ fn main() {
         .unwrap_or(16);
     let tcp = hwm_bench::flag_present("--tcp");
     let json = hwm_bench::flag_present("--json");
-    let overhead = hwm_bench::flag_present("--overhead");
-    // --pipeline N submits N requests per wire burst (1 = one round
-    // trip per request, the historical behavior). Dispatch order is
-    // unchanged, so every deterministic byte is too.
-    let pipeline: usize = hwm_bench::arg_value("--pipeline")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    // --flush picks the journal durability policy (per-event, sync,
-    // buffered, group-commit[:N]); it only matters with --journal,
-    // since the in-memory journal has no flush boundary.
-    let flush = match hwm_bench::arg_value("--flush") {
-        None => FlushPolicy::default(),
-        Some(s) => match FlushPolicy::parse(&s) {
-            Some(p) => p,
-            None => {
-                eprintln!(
-                    "serve_bench: unknown flush policy {s:?} (try per-event, sync, buffered, group-commit[:N])"
-                );
-                std::process::exit(2);
-            }
-        },
-    };
     let port: u16 = hwm_bench::arg_value("--port")
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
     let hold_secs: Option<u64> = hwm_bench::arg_value("--hold").and_then(|s| s.parse().ok());
     let metrics_out = hwm_bench::arg_value("--metrics-out");
-    let alerts_out = hwm_bench::arg_value("--alerts-out");
     let traces_out = hwm_bench::arg_value("--traces-out");
-    let campaign = hwm_bench::arg_value("--campaign");
-    if let Some(c) = campaign.as_deref() {
-        if c != "clone" {
-            eprintln!("serve_bench: unknown campaign {c:?} (try clone)");
-            std::process::exit(2);
-        }
-    }
     let journal_path = hwm_bench::arg_value("--journal");
 
-    // `--faults KIND [--crashes N]`: instead of the throughput benchmark,
-    // run this workload through the crash/restart simulation and report
-    // the oracle comparison (the full matrix lives in `crash_sim`).
-    if let Some(kind_str) = hwm_bench::arg_value("--faults") {
-        let Some(kind) = FaultKind::parse(&kind_str) else {
-            eprintln!("serve_bench: unknown fault kind {kind_str:?} (try torn-write, disk-full, short-read, conn-drop)");
-            std::process::exit(2);
-        };
-        if kind == FaultKind::DelayedAccept {
-            eprintln!(
-                "serve_bench: delayed-accept has no crash/recovery semantics; \
-                 it is exercised by the hwm-service TCP fault tests"
-            );
-            std::process::exit(2);
-        }
-        let config = SimConfig {
-            seed,
-            clients,
-            per_client,
-            kind,
-            crashes: hwm_bench::arg_value("--crashes")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(3),
-            jobs: run.jobs(),
-            compact_every: hwm_bench::arg_value("--compact-every")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-        };
-        let dir = std::env::temp_dir().join(format!("hwm-serve-faults-{}", std::process::id()));
-        let outcome = hwm_bench::sim::run_sim(&config, &dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        match outcome {
-            Ok(outcome) => {
-                print!("{}", outcome.report());
-                run.finish();
-                if !outcome.matches() {
-                    std::process::exit(1);
-                }
-                return;
-            }
-            Err(e) => {
-                eprintln!("serve_bench: fault simulation failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
     let designer = bench_designer(seed);
-    let plans = if campaign.is_some() {
-        clone_campaign_plans(&designer, clients, per_client, seed, run.jobs())
-    } else {
-        build_plans(&designer, clients, per_client, seed, run.jobs())
-    };
-
-    // Overhead baselines: the same plans against fresh servers with
-    // instrumentation progressively disabled, in-process (the
-    // deterministic transport, so the runs differ only in
-    // instrumentation). One run with metrics collection off entirely,
-    // one with metrics on but time-series sampling off, and one
-    // traced/untraced pair that isolates the distributed-tracing cost
-    // from the other instrumentation axes.
-    let (baseline_rps, sampling_off_rps, tracing_rps, serving_path) = if overhead && !tcp {
-        let rps_of = |server: &Arc<ActivationServer>| {
-            let t0 = Instant::now();
-            let (t, _) = submit_local(server, &plans);
-            t.requests as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-        };
-        let metrics_off = Arc::new(ActivationServer::new(
-            bench_designer(seed),
-            Registry::in_memory(),
-            server_config(),
-        ));
-        metrics_off.metrics().set_enabled(false);
-        let sampling_off = Arc::new(ActivationServer::new(
-            bench_designer(seed),
-            Registry::in_memory(),
-            ServerConfig {
-                history: HistoryConfig::disabled(),
-                ..server_config()
-            },
-        ));
-        let tracing_on = Arc::new(ActivationServer::new(
-            bench_designer(seed),
-            Registry::in_memory(),
-            ServerConfig {
-                trace_seed: Some(seed),
-                ..server_config()
-            },
-        ));
-        let tracing_off = Arc::new(ActivationServer::new(
-            bench_designer(seed),
-            Registry::in_memory(),
-            server_config(),
-        ));
-        // Serving-path levers: flush policy × pipeline depth against
-        // real file-backed journals. Every variant must leave the same
-        // journal bytes, det-class snapshot and audit stream behind —
-        // the levers buy throughput, never different bytes.
-        let dir = std::env::temp_dir().join(format!("hwm-serve-overhead-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create overhead journal dir");
-        let depth = if pipeline > 1 { pipeline } else { 8 };
-        // The per-event baseline is *durable* per-event: one fsync per
-        // journal event (`FlushPolicy::Sync`). Group commit batches
-        // exactly that cost — one fsync covers `max_batch` events — so
-        // the pair isolates the group-commit lever the way a database
-        // would measure it. Pipelining is the independent wire lever.
-        let (base_rps, base_digest, base_det, base_audit) = serving_path_variant(
-            seed, &plans, &dir, "per-event-serial", FlushPolicy::Sync, 1,
-        );
-        let (gc_rps, gc_digest, gc_det, gc_audit) = serving_path_variant(
-            seed, &plans, &dir, "group-commit-serial", FlushPolicy::group_commit(), 1,
-        );
-        let (pipe_rps, pipe_digest, pipe_det, pipe_audit) = serving_path_variant(
-            seed, &plans, &dir, "per-event-pipelined", FlushPolicy::Sync, depth,
-        );
-        let (both_rps, both_digest, both_det, both_audit) = serving_path_variant(
-            seed, &plans, &dir, "group-commit-pipelined", FlushPolicy::group_commit(), depth,
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        let baseline = (base_digest, &base_det, &base_audit);
-        for (label, variant) in [
-            ("group-commit", (gc_digest, &gc_det, &gc_audit)),
-            ("pipelined", (pipe_digest, &pipe_det, &pipe_audit)),
-            ("group-commit+pipelined", (both_digest, &both_det, &both_audit)),
-        ] {
-            if variant != baseline {
-                eprintln!(
-                    "serve_bench: BYTE DIVERGENCE — {label} variant differs from the per-event \
-                     unpipelined baseline (journal digest {:#018x} vs {:#018x}; det snapshot {}; audit {})",
-                    variant.0,
-                    baseline.0,
-                    if variant.1 == baseline.1 { "match" } else { "MISMATCH" },
-                    if variant.2 == baseline.2 { "match" } else { "MISMATCH" },
-                );
-                std::process::exit(1);
-            }
-        }
-        (
-            Some(rps_of(&metrics_off)),
-            Some(rps_of(&sampling_off)),
-            Some((rps_of(&tracing_on), rps_of(&tracing_off))),
-            Some(ServingPath {
-                per_event_unpipelined_rps: base_rps,
-                group_commit_rps: gc_rps,
-                pipelined_rps: pipe_rps,
-                group_commit_pipelined_rps: both_rps,
-            }),
-        )
-    } else {
-        if overhead {
-            eprintln!("serve_bench: --overhead is an in-process comparison; ignored under --tcp");
-        }
-        (None, None, None, None)
-    };
+    let plans = build_plans(&designer, clients, per_client, seed, run.jobs());
 
     let registry = match &journal_path {
-        Some(path) => {
-            let opts = RecoverOptions {
-                flush,
-                ..RecoverOptions::default()
-            };
-            match Registry::open_with(std::path::Path::new(path), opts) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("serve_bench: cannot open journal {path}: {e}");
-                    std::process::exit(1);
-                }
+        Some(path) => match Registry::open(std::path::Path::new(path)) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("serve_bench: cannot open journal {path}: {e}");
+                std::process::exit(1);
             }
-        }
+        },
         None => Registry::in_memory(),
     };
     // --traces-out arms tracing on the benched server; without it the
@@ -544,15 +238,9 @@ fn main() {
         registry,
         ServerConfig {
             trace_seed: traces_out.as_ref().map(|_| seed),
-            flush,
             ..server_config()
         },
     ));
-    // A campaign (or an alert sink) implies the stock rule set: with no
-    // rules installed the alert stream is empty by construction.
-    if campaign.is_some() || alerts_out.is_some() {
-        server.set_alert_rules(fleet_rules());
-    }
     // --tcp binds port 0 unless --port says otherwise, and reports the
     // chosen address on stderr so scripts (and CI) can attach a monitor
     // without racing for a fixed port.
@@ -573,34 +261,20 @@ fn main() {
 
     let t0 = Instant::now();
     let (tally, mut latencies) = if let Some(tcp_server) = &tcp_server {
-        let submitted = if pipeline > 1 {
-            submit_tcp_pipelined(tcp_server.addr(), plans, pipeline)
-        } else {
-            submit_tcp(tcp_server.addr(), plans)
-        };
-        match submitted {
+        match submit_tcp(tcp_server.addr(), plans) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("serve_bench: TCP submission failed: {e}");
                 std::process::exit(1);
             }
         }
-    } else if pipeline > 1 {
-        submit_local_pipelined(&server, &plans, pipeline)
     } else {
         submit_local(&server, &plans)
     };
     let wall = t0.elapsed();
 
     // Journal identity: bytes live in memory, or on disk under
-    // --journal — where any group-commit tail must cross the explicit
-    // barrier before the file is read back.
-    if journal_path.is_some() {
-        if let Err(e) = server.commit_journal() {
-            eprintln!("serve_bench: journal commit barrier failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    // --journal (every appended event has already reached the OS).
     let events = server.with_registry(|r| r.journal_len());
     let digest = if tcp {
         None
@@ -631,17 +305,6 @@ fn main() {
             eprintln!("warning: could not write metrics to {path}: {e}");
         }
     }
-    if let Some(path) = &alerts_out {
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = std::path::Path::new(path).parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(path, server.alerts_jsonl())
-        };
-        if let Err(e) = write() {
-            eprintln!("warning: could not write alerts to {path}: {e}");
-        }
-    }
     if let Some(path) = &traces_out {
         let write = || -> std::io::Result<()> {
             if let Some(parent) = std::path::Path::new(path).parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -670,72 +333,6 @@ fn main() {
         lat.p99_ns as f64 / 1_000.0,
         lat.max_ns as f64 / 1_000.0,
     );
-    if let Some(off_rps) = baseline_rps {
-        hwm_trace::record_gauge("serve_throughput_metrics_on_rps", GaugeAgg::Set, throughput as u64);
-        hwm_trace::record_gauge("serve_throughput_metrics_off_rps", GaugeAgg::Set, off_rps as u64);
-        eprintln!(
-            "serve_bench: metrics overhead: {:.0} req/s on vs {:.0} req/s off ({:+.1}%)",
-            throughput,
-            off_rps,
-            (throughput - off_rps) / off_rps.max(1e-9) * 100.0,
-        );
-    }
-    if let Some(off_rps) = sampling_off_rps {
-        hwm_trace::record_gauge("serve_throughput_sampling_off_rps", GaugeAgg::Set, off_rps as u64);
-        eprintln!(
-            "serve_bench: sampling overhead: {:.0} req/s sampled vs {:.0} req/s unsampled ({:+.1}%)",
-            throughput,
-            off_rps,
-            (throughput - off_rps) / off_rps.max(1e-9) * 100.0,
-        );
-    }
-    if let Some((on_rps, off_rps)) = tracing_rps {
-        hwm_trace::record_gauge("serve_throughput_tracing_on_rps", GaugeAgg::Set, on_rps as u64);
-        hwm_trace::record_gauge("serve_throughput_tracing_off_rps", GaugeAgg::Set, off_rps as u64);
-        eprintln!(
-            "serve_bench: tracing overhead: {:.0} req/s traced vs {:.0} req/s untraced ({:+.1}%)",
-            on_rps,
-            off_rps,
-            (on_rps - off_rps) / off_rps.max(1e-9) * 100.0,
-        );
-    }
-    if let Some(sp) = serving_path {
-        hwm_trace::record_gauge(
-            "serve_throughput_per_event_unpipelined_rps",
-            GaugeAgg::Set,
-            sp.per_event_unpipelined_rps as u64,
-        );
-        hwm_trace::record_gauge(
-            "serve_throughput_group_commit_rps",
-            GaugeAgg::Set,
-            sp.group_commit_rps as u64,
-        );
-        hwm_trace::record_gauge(
-            "serve_throughput_pipelined_rps",
-            GaugeAgg::Set,
-            sp.pipelined_rps as u64,
-        );
-        hwm_trace::record_gauge(
-            "serve_throughput_group_commit_pipelined_rps",
-            GaugeAgg::Set,
-            sp.group_commit_pipelined_rps as u64,
-        );
-        let speedup =
-            sp.group_commit_pipelined_rps / sp.per_event_unpipelined_rps.max(1e-9);
-        hwm_trace::record_gauge(
-            "serve_speedup_serving_path_milli",
-            GaugeAgg::Set,
-            (speedup * 1000.0) as u64,
-        );
-        eprintln!(
-            "serve_bench: serving path: per-event fsync unpipelined {:.0} req/s | group-commit {:.0} | pipelined {:.0} | group-commit+pipelined {:.0} req/s ({:.2}x, bytes identical)",
-            sp.per_event_unpipelined_rps,
-            sp.group_commit_rps,
-            sp.pipelined_rps,
-            sp.group_commit_pipelined_rps,
-            speedup,
-        );
-    }
 
     if let Some(tcp_server) = tcp_server {
         if let Some(secs) = hold_secs {

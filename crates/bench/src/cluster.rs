@@ -74,12 +74,6 @@ pub struct ClusterSimConfig {
     /// seeded from `seed`; the oracle and the fault-free reference stay
     /// untraced — tracing must not change any compared byte).
     pub trace: bool,
-    /// Replication ack window: untraced requests coalesce this many
-    /// batches per follower ship (1 = ship every request, the
-    /// historical behavior). Traced requests always ship per-request,
-    /// and every observation point drains first, so the compared bytes
-    /// are window-independent.
-    pub rep_window: usize,
 }
 
 impl ClusterSimConfig {
@@ -97,7 +91,6 @@ impl ClusterSimConfig {
             crashes: 1,
             tcp: false,
             trace: true,
-            rep_window: 1,
         }
     }
 }
@@ -164,13 +157,14 @@ impl ClusterSimOutcome {
     }
 
     /// The deterministic report (golden-snapshot material: no ports, no
-    /// pids, no wall-clock numbers).
+    /// pids, no wall-clock numbers). The header's `rep window 1` is a
+    /// fixed literal: every request ships to its followers on its own.
     pub fn report(&self) -> String {
         let c = &self.config;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "cluster seed {} — {} shards x (1 leader + {} followers), {} vnodes, {} clients x {} dies, {} crash(es), transport {}, rep window {}",
+            "cluster seed {} — {} shards x (1 leader + {} followers), {} vnodes, {} clients x {} dies, {} crash(es), transport {}, rep window 1",
             c.seed,
             c.shards,
             c.replicas,
@@ -179,7 +173,6 @@ impl ClusterSimOutcome {
             c.per_client,
             c.crashes,
             if c.tcp { "tcp" } else { "in-process" },
-            c.rep_window.max(1),
         );
         let _ = writeln!(out, "  crash ticks     {:?}", self.crash_ticks);
         if self.timeline.is_empty() {
@@ -349,12 +342,8 @@ fn build_cluster(config: &ClusterSimConfig, plan: Option<FaultPlan>) -> io::Resu
         });
         nodes.push(replicas);
     }
-    let router = Arc::new(ClusterRouter::new(groups, config.vnodes, plan));
-    router
-        .set_rep_window(config.rep_window.max(1) as u32)
-        .map_err(|e| io::Error::other(e.message))?;
     Ok(ClusterWorld {
-        router,
+        router: Arc::new(ClusterRouter::new(groups, config.vnodes, plan)),
         nodes,
         _hosts: hosts,
     })
@@ -397,62 +386,6 @@ fn live_replicas(config: &ClusterSimConfig, timeline: &[FailoverEvent]) -> Vec<V
             (first..=config.replicas).collect()
         })
         .collect()
-}
-
-/// Times the serving schedule against a fresh fault-free cluster at the
-/// given replication window and returns requests/s (best of three
-/// passes). Tracing stays off so untraced coalescing actually engages;
-/// after the final barrier every follower must agree with its leader or
-/// this returns an error. The windowed-vs-unwindowed pair isolates the
-/// replication fan-out lever for `cluster_bench --overhead`.
-///
-/// # Errors
-///
-/// Transport or replication failures, or a follower digest diverging
-/// from its leader after the end-of-run barrier.
-pub fn replication_window_rps(config: &ClusterSimConfig, window: usize) -> io::Result<f64> {
-    let mut variant = config.clone();
-    variant.trace = false;
-    variant.crashes = 0;
-    variant.rep_window = window.max(1);
-    let designer = bench_designer(variant.seed);
-    let plans = build_plans(
-        &designer,
-        variant.clients,
-        variant.per_client,
-        variant.seed,
-        variant.jobs,
-    );
-    let schedule = round_robin(&plans);
-    let mut best = 0.0f64;
-    for _pass in 0..3 {
-        let world = build_cluster(&variant, None)?;
-        let t0 = std::time::Instant::now();
-        drive(&world, &schedule, variant.tcp)?;
-        world
-            .router
-            .sync_replication()
-            .map_err(|e| io::Error::other(e.message))?;
-        let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-        best = best.max(schedule.len() as f64 / elapsed);
-        for replicas in &world.nodes {
-            let want = replicas[0]
-                .server()
-                .with_registry(|r| (r.journal_len(), r.rolling_digest()));
-            for follower in &replicas[1..] {
-                let got = follower
-                    .server()
-                    .with_registry(|r| (r.journal_len(), r.rolling_digest()));
-                if got != want {
-                    return Err(io::Error::other(format!(
-                        "follower diverged at window {}: {got:?} vs leader {want:?}",
-                        variant.rep_window
-                    )));
-                }
-            }
-        }
-    }
-    Ok(best)
 }
 
 /// Runs one cluster simulation.
@@ -531,9 +464,8 @@ pub fn run_cluster_sim(config: &ClusterSimConfig) -> io::Result<ClusterSimOutcom
         world.router.set_trace_seed(Some(config.seed));
     }
     let responses = drive(&world, &schedule, config.tcp)?;
-    // End-of-run replication barrier: any coalesced batches reach the
-    // followers before their registries are compared (the snapshot and
-    // Metrics paths drain too; this makes the contract explicit).
+    // Every live follower must have acked its leader's journal length
+    // before the registries are compared.
     world
         .router
         .sync_replication()
@@ -697,46 +629,6 @@ mod tests {
         let out_off = run_cluster_sim(&off).expect("sim runs");
         assert!(out_off.matches(), "mismatch:\n{}", out_off.report());
         assert!(out_off.trace_jsonl.is_empty());
-    }
-
-    #[test]
-    fn windowed_replication_matches_oracle_across_seeds_and_transports() {
-        // The failover matrix with coalescing engaged: untraced runs so
-        // batches actually queue, a scheduled leader kill mid-stream,
-        // both replication transports, three seeds.
-        for seed in [5, 19, 2024] {
-            for tcp in [false, true] {
-                let mut config = ClusterSimConfig::new(seed);
-                config.tcp = tcp;
-                config.trace = false;
-                config.rep_window = 4;
-                let out = run_cluster_sim(&config).expect("sim runs");
-                assert_eq!(out.timeline.len(), 1, "seed {seed} kill must fire");
-                assert!(out.matches(), "seed {seed} tcp {tcp} mismatch:\n{}", out.report());
-            }
-        }
-    }
-
-    #[test]
-    fn rep_window_never_changes_trace_bytes() {
-        // Traced requests ship per-request regardless of window, so the
-        // span dump (and everything else) is window-independent.
-        let base = run_cluster_sim(&ClusterSimConfig::new(7)).expect("sim runs");
-        let mut windowed = ClusterSimConfig::new(7);
-        windowed.rep_window = 4;
-        let out = run_cluster_sim(&windowed).expect("sim runs");
-        assert!(out.matches(), "mismatch:\n{}", out.report());
-        assert_eq!(out.trace_jsonl, base.trace_jsonl);
-    }
-
-    #[test]
-    fn replication_window_lever_keeps_followers_converged() {
-        let mut config = ClusterSimConfig::new(13);
-        config.clients = 4;
-        config.per_client = 4;
-        let unwindowed = replication_window_rps(&config, 1).expect("window 1 runs");
-        let windowed = replication_window_rps(&config, 8).expect("window 8 runs");
-        assert!(unwindowed > 0.0 && windowed > 0.0);
     }
 
     #[test]

@@ -340,38 +340,6 @@ pub fn submit_local(server: &Arc<ActivationServer>, plans: &[ClientPlan]) -> (Ta
     (tally, latencies)
 }
 
-/// Pipelined round-robin submission over the in-process transport:
-/// the same flat schedule as [`submit_local`], submitted `depth`
-/// requests at a time through [`LocalClient::call_pipelined`]. Dispatch
-/// order is identical to the serial path, so the journal, audit stream
-/// and det-class counters are byte-identical for any depth; latency is
-/// recorded per batch and attributed evenly to its requests.
-///
-/// # Panics
-///
-/// Panics if the in-process codec rejects one of its own frames.
-pub fn submit_local_pipelined(
-    server: &Arc<ActivationServer>,
-    plans: &[ClientPlan],
-    depth: usize,
-) -> (Tally, Vec<u64>) {
-    let _span = hwm_trace::span("serve_bench.submit_pipelined");
-    let depth = depth.max(1);
-    let mut client = LocalClient::new(Arc::clone(server));
-    let mut tally = Tally::default();
-    let mut latencies = Vec::new();
-    for window in round_robin(plans).chunks(depth) {
-        let t0 = Instant::now();
-        let resps = client.call_pipelined(window).expect("in-process transport");
-        let per_req = t0.elapsed().as_nanos() as u64 / window.len().max(1) as u64;
-        for resp in &resps {
-            latencies.push(per_req);
-            tally.absorb(resp);
-        }
-    }
-    (tally, latencies)
-}
-
 /// Concurrent submission over TCP: one connection per client, against an
 /// already-listening server (the caller owns the [`TcpServer`], so it can
 /// report the bound port and keep serving after the workload — e.g. for
@@ -404,63 +372,6 @@ pub fn submit_tcp(
                         })?;
                         latencies.push(t0.elapsed().as_nanos() as u64);
                         tally.absorb(&resp);
-                    }
-                    Ok((tally, latencies))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let mut tally = Tally::default();
-    let mut latencies = Vec::new();
-    for r in results {
-        let (t, l) = r?;
-        tally.merge(&t);
-        latencies.extend(l);
-    }
-    Ok((tally, latencies))
-}
-
-/// Pipelined TCP submission: one connection per client, each client
-/// bursting `depth` frames per write ([`TcpClient::call_pipelined`])
-/// instead of one round trip per request. Batch latency is attributed
-/// evenly to the batch's requests.
-///
-/// # Errors
-///
-/// Propagates socket failures from any client thread.
-///
-/// # Panics
-///
-/// Panics if a client thread itself panics.
-pub fn submit_tcp_pipelined(
-    addr: std::net::SocketAddr,
-    plans: Vec<ClientPlan>,
-    depth: usize,
-) -> std::io::Result<(Tally, Vec<u64>)> {
-    let _span = hwm_trace::span("serve_bench.submit_tcp_pipelined");
-    let depth = depth.max(1);
-    let results: Vec<std::io::Result<(Tally, Vec<u64>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .into_iter()
-            .map(|plan| {
-                scope.spawn(move || {
-                    let mut client = TcpClient::connect(addr)?;
-                    let mut tally = Tally::default();
-                    let mut latencies = Vec::new();
-                    for window in plan.requests.chunks(depth) {
-                        let t0 = Instant::now();
-                        let resps = client.call_pipelined(window).map_err(|e| {
-                            std::io::Error::new(std::io::ErrorKind::InvalidData, e.message)
-                        })?;
-                        let per_req = t0.elapsed().as_nanos() as u64 / window.len().max(1) as u64;
-                        for resp in &resps {
-                            latencies.push(per_req);
-                            tally.absorb(resp);
-                        }
                     }
                     Ok((tally, latencies))
                 })

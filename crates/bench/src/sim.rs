@@ -8,7 +8,8 @@
 //!    stream, registry state and journal bytes define ground truth.
 //! 2. **Faulted** — a file-backed server that is killed at the
 //!    [`FaultPlan`]'s crash ticks (the injected fault destroys the doomed
-//!    request) and restarted through the full recovery path:
+//!    request; the kill runs no destructor, as a process crash would) and
+//!    restarted through the full recovery path:
 //!    [`Registry::open_with`] (snapshot + journal tail + torn-tail
 //!    repair), [`hwm_metrics::AuditLog::resume_file`], and
 //!    [`ActivationServer::resume`] with the logical clock restored to the
@@ -346,7 +347,6 @@ pub fn run_sim(config: &SimConfig, dir: &Path) -> io::Result<SimOutcome> {
         let registry = Registry::open_with(
             &journal,
             RecoverOptions {
-                flush: server_cfg.flush,
                 compact_every: config.compact_every,
                 injector: Some(injector.clone()),
             },
@@ -396,7 +396,11 @@ pub fn run_sim(config: &SimConfig, dir: &Path) -> io::Result<SimOutcome> {
                         )));
                     }
                 }
-                // Kill this incarnation; Drop flushes what it can.
+                // Kill this incarnation the way a process crash would:
+                // no destructor runs, so nothing the journal store still
+                // buffered reaches the file.
+                std::mem::forget(client);
+                std::mem::forget(server);
                 continue 'world;
             }
             let resp = client

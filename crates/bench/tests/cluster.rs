@@ -5,8 +5,8 @@
 
 use hwm_bench::cluster::{run_cluster_sim, ClusterSimConfig};
 use hwm_bench::serve::{bench_designer, build_plans, round_robin, server_config};
-use hwm_cluster::{RepFrame, ShardNode};
-use hwm_service::{ActivationServer, Registry, ServerConfig, ServerRole};
+use hwm_cluster::{ClusterRouter, LocalLink, NodeLink, RepFrame, ShardGroup, ShardNode};
+use hwm_service::{ActivationServer, Handler, Registry, Response, ServerConfig, ServerRole};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -191,4 +191,43 @@ fn snapshot_catchup_then_promotion() {
     let leader_records = leader_server.with_registry(|r| r.records().to_vec());
     let follower_records = follower_server.with_registry(|r| r.records().to_vec());
     assert_eq!(follower_records, leader_records);
+}
+
+/// One shard whose leader answers and whose followers are wired to the
+/// given shard ids (a follower addressed as another shard refuses every
+/// shipment).
+fn one_shard_router(seed: u64, follower_shards: &[u64]) -> ClusterRouter {
+    let leader = replica(seed, ServerRole::Leader);
+    leader.enable_replication();
+    let link = |shard: u64, server| -> Box<dyn NodeLink> {
+        Box::new(LocalLink::new(Arc::new(ShardNode::new(shard, server))))
+    };
+    let followers = follower_shards
+        .iter()
+        .map(|&shard| link(shard, replica(seed, ServerRole::Follower)))
+        .collect();
+    let group = ShardGroup {
+        leader: link(0, leader),
+        followers,
+    };
+    ClusterRouter::new(vec![group], 16, None)
+}
+
+/// `sync_replication` checks the watermark rule: it passes while every
+/// follower acked its leader's journal length and fails once one
+/// follower refused a shipment.
+#[test]
+fn sync_replication_flags_a_follower_behind_its_leader() {
+    let seed = 5;
+    let schedule = round_robin(&build_plans(&bench_designer(seed), 1, 1, seed, 1));
+    let healthy = one_shard_router(seed, &[0, 0]);
+    let resp = healthy.handle(&schedule[0]);
+    assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
+    healthy.sync_replication().expect("every follower acked");
+
+    let lagging = one_shard_router(seed, &[0, 9]);
+    let resp = lagging.handle(&schedule[0]);
+    assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+    let err = lagging.sync_replication().expect_err("follower 1 never acked");
+    assert!(err.message.contains("follower 1 of shard 0"), "{}", err.message);
 }

@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A channel to one replica. `Sync` is part of the contract: the
-/// router's windowed fan-out calls followers from scoped threads, so a
+/// router's parallel fan-out calls followers from scoped threads, so a
 /// link must tolerate being shared (both built-in links serialize
 /// internally — [`LocalLink`] via the node's own lock, [`TcpLink`] via
 /// its stream mutex).

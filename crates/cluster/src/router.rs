@@ -77,13 +77,6 @@ struct ShardState {
     acks: Vec<u64>,
     /// Requests routed here (the routing-distribution report).
     requests: u64,
-    /// Journal entries produced but not yet shipped (windowed mode);
-    /// drained before any failover, metrics read, or explicit sync.
-    pending_entries: Vec<String>,
-    /// Audit events riding with the pending entries.
-    pending_audit: Vec<AuditEvent>,
-    /// Requests whose output sits in the pending queue.
-    pending_batches: u32,
 }
 
 /// Where one die is in its lifecycle, as the router last saw it.
@@ -122,9 +115,6 @@ struct RouterInner {
     mirror: Mirror,
     plan: Option<FaultPlan>,
     timeline: Vec<FailoverEvent>,
-    /// Replication window: how many requests' journal entries may
-    /// coalesce into one follower shipment. 1 = ship per request.
-    rep_window: u32,
     /// Distributed-tracing seed; `None` leaves tracing off (the
     /// default), keeping untraced runs byte-identical to pre-tracing
     /// builds.
@@ -156,9 +146,6 @@ impl ClusterRouter {
                     leader_seq: 0,
                     acks,
                     requests: 0,
-                    pending_entries: Vec::new(),
-                    pending_audit: Vec::new(),
-                    pending_batches: 0,
                 }
             })
             .collect::<Vec<_>>();
@@ -173,7 +160,6 @@ impl ClusterRouter {
                 mirror: Mirror::default(),
                 plan,
                 timeline: Vec::new(),
-                rep_window: 1,
                 trace_seed: None,
                 traces: TraceRing::default(),
             }),
@@ -210,41 +196,33 @@ impl ClusterRouter {
         &self.metrics
     }
 
-    /// Sets the replication window: how many requests' journal entries
-    /// may coalesce into one follower shipment (clamped to at least 1,
-    /// the ship-per-request default). Any queued shipment drains first,
-    /// so a mid-run change can never reorder entries.
+    /// Checks the watermark rule (DESIGN.md §9): every live follower
+    /// has acked exactly its leader's journal length. The router ships
+    /// each request's entries to every follower before it answers, so a
+    /// follower that trails here was refused or lost a shipment, and
+    /// comparing its state against the leader's would be meaningless.
     ///
     /// # Errors
     ///
-    /// [`ClusterError`] if draining the queue fails.
-    pub fn set_rep_window(&self, window: u32) -> Result<(), ClusterError> {
-        let mut inner = self.lock();
-        Self::drain_all(&mut inner)?;
-        inner.rep_window = window.max(1);
+    /// [`ClusterError`] naming the first follower whose acked seq
+    /// differs from its leader's.
+    pub fn sync_replication(&self) -> Result<(), ClusterError> {
+        let inner = self.lock();
+        for (shard, st) in inner.shards.iter().enumerate() {
+            if let Some(i) = st.acks.iter().position(|&seq| seq != st.leader_seq) {
+                return Err(ClusterError::new(format!(
+                    "follower {i} of shard {shard} acked seq {} but its leader is at {}",
+                    st.acks[i], st.leader_seq
+                )));
+            }
+        }
         Ok(())
     }
 
-    /// Ships every queued replication batch and blocks until all
-    /// followers ack — the end-of-run barrier callers must cross before
-    /// comparing follower state against the leader under a replication
-    /// window wider than 1.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError`] if any follower refuses its batch.
-    pub fn sync_replication(&self) -> Result<(), ClusterError> {
-        Self::drain_all(&mut self.lock())
-    }
-
     /// A snapshot with the fleet gauges refreshed — what the `Metrics`
-    /// wire request returns. Queued shipments drain first so the
-    /// replication-lag gauges report the same bytes a window-1 run
-    /// would (a drain failure is left for the next dispatch to surface).
+    /// wire request returns.
     pub fn snapshot(&self) -> Snapshot {
-        let mut inner = self.lock();
-        let _ = Self::drain_all(&mut inner);
-        self.refresh_gauges(&inner);
+        self.refresh_gauges(&self.lock());
         self.metrics.snapshot()
     }
 
@@ -517,30 +495,6 @@ impl ClusterRouter {
         Ok(())
     }
 
-    /// Ships a shard's queued entries/audit (windowed mode) as one
-    /// untraced batch and clears the queue. No-op when nothing is
-    /// pending; queues only form on untraced requests, so the drain
-    /// never owes the span tree anything.
-    fn drain_shard(shard: usize, st: &mut ShardState) -> Result<(), ClusterError> {
-        st.pending_batches = 0;
-        if st.pending_entries.is_empty() && st.pending_audit.is_empty() {
-            return Ok(());
-        }
-        let entries = std::mem::take(&mut st.pending_entries);
-        let audit = std::mem::take(&mut st.pending_audit);
-        let mut spans = Vec::new();
-        let mut scope = TraceScope::new();
-        Self::ship_batch(shard, st, &entries, &audit, None, &mut spans, &mut scope)
-    }
-
-    /// Drains every shard's queued shipments.
-    fn drain_all(inner: &mut RouterInner) -> Result<(), ClusterError> {
-        for (shard, st) in inner.shards.iter_mut().enumerate() {
-            Self::drain_shard(shard, st)?;
-        }
-        Ok(())
-    }
-
     /// Forwards to the shard leader, ships the produced journal entries
     /// and audit events to the followers, and folds both into the
     /// router's aggregates. Returns the shard's response. When `trace`
@@ -591,35 +545,12 @@ impl ClusterRouter {
             }
         };
         spans.extend(leader_spans);
-        // Ship to the followers. With the default window of 1 every
-        // request ships synchronously: no follower may lag past one
-        // request, so any follower is promotable with at most the
-        // doomed request in flight (the watermark rule in DESIGN.md
-        // §9). A wider window queues up to `rep_window` requests'
-        // entries and ships them as one coalesced batch per follower;
-        // the queue drains before any failover, metrics read, or
-        // explicit sync, so every observable byte matches a window-1
-        // run. Either way the fan-out itself is parallel.
-        let window = inner.rep_window.max(1);
+        // Ship to every follower (in parallel) before answering: no
+        // follower ever lags past the one request in flight, so any
+        // follower is promotable (the watermark rule in DESIGN.md §9).
         let st = &mut inner.shards[shard];
         st.leader_seq = seq;
-        if !entries.is_empty() || !audit.is_empty() {
-            if trace.is_some() || window == 1 {
-                // Traced requests always ship per-request — the span
-                // tree records one ship per follower per request. If
-                // an earlier untraced request left a queue behind,
-                // drain it first to preserve entry order.
-                Self::drain_shard(shard, st)?;
-                Self::ship_batch(shard, st, &entries, &audit, trace, spans, scope)?;
-            } else {
-                st.pending_entries.extend(entries.iter().cloned());
-                st.pending_audit.extend(audit.iter().cloned());
-                st.pending_batches += 1;
-                if st.pending_batches >= window {
-                    Self::drain_shard(shard, st)?;
-                }
-            }
-        }
+        Self::ship_batch(shard, st, &entries, &audit, trace, spans, scope)?;
         // Fold journal events into the fleet counter (what a single
         // node's registry metrics would have counted).
         for line in &entries {
@@ -657,15 +588,6 @@ impl Handler for ClusterRouter {
         let mut inner = self.lock();
         match req {
             Request::Metrics { .. } => {
-                // Queued shipments drain first so the replication-lag
-                // gauges report the same bytes a window-1 run would.
-                if let Err(e) = Self::drain_all(&mut inner) {
-                    return Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: e.message,
-                        retry_at: None,
-                    };
-                }
                 self.refresh_gauges(&inner);
                 return Response::Metrics {
                     snapshot: self.metrics.snapshot(),
@@ -724,17 +646,6 @@ impl Handler for ClusterRouter {
         let crash_due = inner.plan.as_ref().is_some_and(|plan| plan.is_crash(now));
         let mut dispatch_parent = root_id;
         if crash_due {
-            // The doomed shard's queued shipments drain before the
-            // checkpoint: the dead leader already produced them and the
-            // router still holds them, so the promotion watermark must
-            // match a window-1 run.
-            if let Err(e) = Self::drain_shard(shard, &mut inner.shards[shard]) {
-                return Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.message,
-                    retry_at: None,
-                };
-            }
             // The failover subtree sits at the previous tick: the doomed
             // dispatch never happened, and the tick spread deterministically
             // surfaces failover traces under `--slowest`.

@@ -45,8 +45,8 @@
 //!   `hwm_monitor --json` pin.
 //!
 //! Collection is on by default and can be switched off process-free via
-//! [`MetricsRegistry::set_enabled`] — the serving benchmark uses that to
-//! measure the instrumentation's own overhead.
+//! [`MetricsRegistry::set_enabled`], e.g. to measure the
+//! instrumentation's own overhead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -278,10 +278,6 @@ impl JournalStore for FaultyStore {
         self.inner.flush()
     }
 
-    fn commit(&mut self) -> io::Result<()> {
-        self.inner.commit()
-    }
-
     fn sync(&mut self) -> io::Result<()> {
         self.inner.sync()
     }

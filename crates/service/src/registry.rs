@@ -249,11 +249,11 @@ pub struct TornTail {
     pub bytes: usize,
 }
 
-/// Recovery/durability knobs for [`Registry::open_with`].
+/// Recovery knobs for [`Registry::open_with`]. The journal opens under
+/// the default [`FlushPolicy`]; the owning server applies its own
+/// through [`Registry::set_flush_policy`].
 #[derive(Debug, Default)]
 pub struct RecoverOptions {
-    /// Durability of each append (see [`FlushPolicy`]).
-    pub flush: FlushPolicy,
     /// Auto-compact once this many events accumulate past the last
     /// snapshot (`0` = never; call [`Registry::compact`] manually).
     pub compact_every: u64,
@@ -309,11 +309,6 @@ pub struct Registry {
     rep_capture: bool,
     /// Appended lines not yet drained by the replication layer.
     rep_tail: Vec<String>,
-    /// Events appended since the last flush under
-    /// [`FlushPolicy::GroupCommit`] (0 under every other policy).
-    gc_pending: u32,
-    /// Group-commit barrier flushes performed so far.
-    gc_flushes: u64,
     /// Reusable scratch for rendering journal lines (one allocation for
     /// the life of the registry instead of one per event).
     line_buf: String,
@@ -341,8 +336,6 @@ impl Registry {
             torn_tail: None,
             rep_capture: false,
             rep_tail: Vec::new(),
-            gc_pending: 0,
-            gc_flushes: 0,
             line_buf: String::new(),
         }
     }
@@ -500,7 +493,7 @@ impl Registry {
         };
         registry.journal = Journal::Store {
             store,
-            policy: opts.flush,
+            policy: FlushPolicy::default(),
         };
         registry.path = Some(path.to_path_buf());
         registry.snapshot_seq = snapshot_seq;
@@ -654,33 +647,18 @@ impl Registry {
         let _ = write!(text, "{line}");
         text.push('\n');
         let started = Instant::now();
-        let mut gc_flushed = false;
         let appended = match &mut self.journal {
             Journal::Memory(buf) => {
                 buf.extend_from_slice(text.as_bytes());
                 Ok(())
             }
             Journal::Store { store, policy } => {
-                let mut result = store.append(text.as_bytes());
-                if result.is_ok() {
-                    match *policy {
-                        FlushPolicy::Buffered => {}
-                        FlushPolicy::PerEvent => result = store.flush(),
-                        FlushPolicy::Sync => result = store.sync(),
-                        FlushPolicy::GroupCommit { max_batch } => {
-                            // Count-driven barrier: one flush covers the
-                            // whole batch. Never wall-time-driven, so the
-                            // on-disk byte stream matches per-event mode.
-                            self.gc_pending += 1;
-                            if self.gc_pending >= max_batch.max(1) {
-                                result = store.commit();
-                                self.gc_pending = 0;
-                                self.gc_flushes += 1;
-                                gc_flushed = true;
-                            }
-                        }
-                    }
-                }
+                // The event leaves the process before the mutation is
+                // acknowledged, under either policy.
+                let result = store.append(text.as_bytes()).and_then(|()| match *policy {
+                    FlushPolicy::PerEvent => store.flush(),
+                    FlushPolicy::Sync => store.sync(),
+                });
                 result.map_err(|e| RegistryError::Journal(e.to_string()))
             }
         };
@@ -700,79 +678,28 @@ impl Registry {
             );
             if appended.is_ok() {
                 m.inc("journal_events_total", &[("event", event)], 1);
-                // Timing class, not Det: the values depend on the
-                // durability configuration, not the request sequence, so
-                // they must stay out of the cross-policy determinism
-                // comparison.
-                if gc_flushed || self.gc_pending > 0 {
-                    m.set_gauge(
-                        "journal_group_commit_flushes",
-                        &[],
-                        MetricClass::Timing,
-                        self.gc_flushes,
-                    );
-                    m.set_gauge(
-                        "journal_group_commit_pending",
-                        &[],
-                        MetricClass::Timing,
-                        self.gc_pending as u64,
-                    );
-                }
             }
         }
         self.line_buf = text;
         appended
     }
 
-    /// Commit barrier: makes every appended journal event durable. Under
-    /// [`FlushPolicy::GroupCommit`] this closes the open batch (a no-op
-    /// when the batch is empty); under [`FlushPolicy::Buffered`] and
-    /// [`FlushPolicy::PerEvent`] it is the only fsync the policy ever
-    /// issues; under [`FlushPolicy::Sync`] every event is already
-    /// durable and nothing is owed. The owning server drives this from
-    /// the logical tick clock; compaction and shutdown call it
-    /// unconditionally. A no-op for in-memory journals.
+    /// Commit barrier: makes every appended journal event durable.
+    /// Under [`FlushPolicy::PerEvent`] this is the one fsync the policy
+    /// ever issues; under [`FlushPolicy::Sync`] every event is already
+    /// durable and nothing is owed. A no-op for in-memory journals.
     ///
     /// # Errors
     ///
     /// [`RegistryError::Journal`] when the underlying store fails.
     pub fn commit(&mut self) -> Result<(), RegistryError> {
-        if self.gc_pending == 0 {
-            match &mut self.journal {
-                Journal::Store {
-                    store,
-                    policy: FlushPolicy::Buffered | FlushPolicy::PerEvent,
-                } => {
-                    return store
-                        .commit()
-                        .map_err(|e| RegistryError::Journal(e.to_string()));
-                }
-                _ => return Ok(()),
-            }
+        match &mut self.journal {
+            Journal::Store {
+                store,
+                policy: FlushPolicy::PerEvent,
+            } => store.sync().map_err(|e| RegistryError::Journal(e.to_string())),
+            _ => Ok(()),
         }
-        if let Journal::Store { store, .. } = &mut self.journal {
-            store
-                .commit()
-                .map_err(|e| RegistryError::Journal(e.to_string()))?;
-            self.gc_pending = 0;
-            self.gc_flushes += 1;
-            if let Some(m) = &self.metrics {
-                m.set_gauge(
-                    "journal_group_commit_flushes",
-                    &[],
-                    MetricClass::Timing,
-                    self.gc_flushes,
-                );
-                m.set_gauge("journal_group_commit_pending", &[], MetricClass::Timing, 0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Journal events batched under [`FlushPolicy::GroupCommit`] but not
-    /// yet covered by a flush barrier.
-    pub fn pending_commits(&self) -> u32 {
-        self.gc_pending
     }
 
     /// Registers a fabricated IC. The same readout registered twice is the
@@ -918,13 +845,11 @@ impl Registry {
                 "in-memory registry has no journal file to compact",
             ));
         };
-        // Push buffered appends out first so the on-disk journal is
-        // complete if we crash mid-compaction. This also closes any open
-        // group-commit batch.
+        // Make the journal durable first so it is complete on disk if
+        // we crash mid-compaction.
         if let Journal::Store { store, .. } = &mut self.journal {
-            store.flush()?;
+            store.sync()?;
         }
-        self.gc_pending = 0;
         let snap = RegistrySnapshot {
             seq: self.seq,
             digest: self.digest,
@@ -958,9 +883,6 @@ impl Registry {
     /// journals). The owning server applies its
     /// [`crate::server::ServerConfig`] knob through this.
     pub fn set_flush_policy(&mut self, policy: FlushPolicy) {
-        // Close any open group-commit batch before the policy changes so
-        // no event straddles two durability regimes.
-        let _ = self.commit();
         if let Journal::Store { policy: p, .. } = &mut self.journal {
             *p = policy;
         }
@@ -1053,17 +975,6 @@ impl Registry {
     /// The torn tail discarded at open time, if the journal had one.
     pub fn torn_tail(&self) -> Option<TornTail> {
         self.torn_tail
-    }
-}
-
-impl Drop for Registry {
-    fn drop(&mut self) {
-        // Best-effort: push buffered journal bytes to the OS so a clean
-        // shutdown under FlushPolicy::Buffered or an open group-commit
-        // batch loses nothing.
-        if let Journal::Store { store, .. } = &mut self.journal {
-            let _ = store.flush();
-        }
     }
 }
 
@@ -1350,26 +1261,6 @@ mod tests {
         drop(r);
         let r = Registry::open(&path).unwrap();
         assert_eq!((r.snapshot_events(), r.replayed_events()), (2, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn buffered_policy_flushes_on_drop() {
-        let dir = temp_dir("buffered");
-        let path = dir.join("journal.jsonl");
-        {
-            let mut r = Registry::open_with(
-                &path,
-                RecoverOptions {
-                    flush: FlushPolicy::Buffered,
-                    ..RecoverOptions::default()
-                },
-            )
-            .unwrap();
-            r.register("c0", "ic-0", "0101", 1).unwrap();
-        }
-        let r = Registry::open(&path).unwrap();
-        assert_eq!(r.journal_len(), 1, "clean shutdown flushed the buffer");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -549,14 +549,12 @@ impl ActivationServer {
         f(&self.lock().registry)
     }
 
-    /// Forces any group-commit batch still pending in the journal store
-    /// down to disk — the explicit barrier callers must cross before
-    /// reading journal bytes from the file while the server is live.
-    /// A no-op under per-event / sync / buffered flush policies.
+    /// Makes every journal event appended so far durable (see
+    /// [`Registry::commit`]).
     ///
     /// # Errors
     ///
-    /// [`WireError`] if the underlying store flush fails.
+    /// [`WireError`] if the underlying store sync fails.
     pub fn commit_journal(&self) -> Result<(), WireError> {
         self.lock()
             .registry

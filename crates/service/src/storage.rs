@@ -13,83 +13,29 @@
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 
-/// Default batch ceiling for [`FlushPolicy::GroupCommit`]: the plain
-/// `"group-commit"` config name parses to this.
-pub const DEFAULT_GROUP_COMMIT_BATCH: u32 = 32;
-
-/// When journal bytes reach the operating system / the platter.
+/// When journal bytes reach the operating system / the platter. Either
+/// way an appended event has left the process before its mutation is
+/// acknowledged, so a process crash never loses an acknowledged event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Keep bytes in the user-space buffer; they reach the OS at
-    /// compaction, shutdown, or when the buffer fills. Fastest, but a
-    /// process crash loses buffered events (recovery still works — the
-    /// journal simply ends earlier).
-    Buffered,
-    /// `flush()` to the OS after every event (the historical behavior and
-    /// the default): a process crash loses nothing, a kernel panic or
-    /// power cut may lose the tail.
+    /// `flush()` to the OS after every event (the default): a process
+    /// crash loses nothing, a kernel panic or power cut may lose the
+    /// tail.
     #[default]
     PerEvent,
-    /// `flush()` + `fsync()` after every event: survives power loss at
-    /// the cost of a disk round-trip per mutation.
+    /// `flush()` + `fdatasync()` after every event: survives power loss
+    /// at the cost of a disk round-trip per mutation.
     Sync,
-    /// Group commit: events accumulate in the user-space buffer and a
-    /// single `flush()` covers up to `max_batch` of them. The barrier is
-    /// driven by the *event count* (and the logical tick clock at request
-    /// boundaries), never by wall time, so the on-disk byte stream is
-    /// identical to [`FlushPolicy::PerEvent`] — only the number of flush
-    /// syscalls changes. A process crash loses at most the uncommitted
-    /// tail of the current batch (recovery still works, the journal
-    /// simply ends earlier, as with [`FlushPolicy::Buffered`]).
-    GroupCommit {
-        /// Flush after at most this many uncommitted events (0 behaves
-        /// like 1, i.e. per-event).
-        max_batch: u32,
-    },
 }
 
 impl FlushPolicy {
-    /// Group commit with the default batch ceiling.
-    pub fn group_commit() -> FlushPolicy {
-        FlushPolicy::GroupCommit {
-            max_batch: DEFAULT_GROUP_COMMIT_BATCH,
-        }
-    }
-
-    /// Config/CLI name of the policy (batch ceiling elided; see
-    /// [`FlushPolicy::config_name`] for the lossless rendering).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FlushPolicy::Buffered => "buffered",
-            FlushPolicy::PerEvent => "per-event",
-            FlushPolicy::Sync => "sync",
-            FlushPolicy::GroupCommit { .. } => "group-commit",
-        }
-    }
-
-    /// Lossless config/CLI rendering: `"group-commit:N"` keeps the batch
-    /// ceiling; everything else matches [`FlushPolicy::as_str`].
+    /// Config name of the policy (what reports print).
     pub fn config_name(self) -> String {
         match self {
-            FlushPolicy::GroupCommit { max_batch } => format!("group-commit:{max_batch}"),
-            other => other.as_str().to_string(),
+            FlushPolicy::PerEvent => "per-event",
+            FlushPolicy::Sync => "sync",
         }
-    }
-
-    /// Parses a config/CLI name. `"group-commit"` takes the default batch
-    /// ceiling ([`DEFAULT_GROUP_COMMIT_BATCH`]); `"group-commit:N"` sets
-    /// it explicitly.
-    pub fn parse(s: &str) -> Option<FlushPolicy> {
-        match s {
-            "buffered" => Some(FlushPolicy::Buffered),
-            "per-event" => Some(FlushPolicy::PerEvent),
-            "sync" => Some(FlushPolicy::Sync),
-            "group-commit" => Some(FlushPolicy::group_commit()),
-            _ => {
-                let n = s.strip_prefix("group-commit:")?;
-                n.parse::<u32>().ok().map(|max_batch| FlushPolicy::GroupCommit { max_batch })
-            }
-        }
+        .to_string()
     }
 }
 
@@ -116,22 +62,10 @@ pub trait JournalStore: Send {
     /// Propagates the underlying I/O error.
     fn flush(&mut self) -> io::Result<()>;
 
-    /// Group-commit barrier: makes every event appended so far as durable
-    /// as the store can — one fsync covering the whole batch for
-    /// [`FileStore`] (the trait default delegates to
-    /// [`JournalStore::flush`] for stores with no stronger notion).
-    /// The registry calls this at logical-clock boundaries when
-    /// [`FlushPolicy::GroupCommit`] closes a batch, and unconditionally at
-    /// compaction and shutdown.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    fn commit(&mut self) -> io::Result<()> {
-        self.flush()
-    }
-
-    /// Flushes and then fsyncs to stable storage.
+    /// The durability barrier: flushes and then fsyncs to stable
+    /// storage. [`FlushPolicy::Sync`] crosses it after every event;
+    /// [`crate::registry::Registry::commit`] and compaction cross it
+    /// on demand.
     ///
     /// # Errors
     ///
@@ -171,23 +105,16 @@ impl JournalStore for FileStore {
         self.writer.flush()
     }
 
-    fn commit(&mut self) -> io::Result<()> {
-        // The group-commit barrier is a *durability* barrier: one fsync
-        // covers the whole batch, which is the entire point of batching
-        // — N events pay one device round trip instead of N.
+    fn sync(&mut self) -> io::Result<()> {
+        // Data plus the file length: all an append-only journal needs
+        // to read back every appended line after power loss.
         self.writer.flush()?;
         self.writer.get_ref().sync_data()
     }
 
-    fn sync(&mut self) -> io::Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()
-    }
-
     fn reopen(&mut self, file: File) -> io::Result<()> {
-        // The outgoing writer holds the renamed-away inode; drop any
-        // buffered bytes for it *after* a best-effort flush so nothing is
-        // silently lost when compaction races a buffered policy.
+        // The outgoing writer holds the renamed-away inode; push out
+        // anything it still buffers before dropping it.
         self.writer.flush()?;
         self.writer = BufWriter::new(file);
         Ok(())
@@ -199,26 +126,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flush_policy_names_round_trip() {
-        for p in [
-            FlushPolicy::Buffered,
-            FlushPolicy::PerEvent,
-            FlushPolicy::Sync,
-            FlushPolicy::group_commit(),
-        ] {
-            assert_eq!(FlushPolicy::parse(p.as_str()), Some(p));
-            assert_eq!(FlushPolicy::parse(&p.config_name()), Some(p));
-        }
-        assert_eq!(
-            FlushPolicy::parse("group-commit:7"),
-            Some(FlushPolicy::GroupCommit { max_batch: 7 })
-        );
-        assert_eq!(
-            FlushPolicy::GroupCommit { max_batch: 7 }.config_name(),
-            "group-commit:7"
-        );
-        assert_eq!(FlushPolicy::parse("group-commit:x"), None);
-        assert_eq!(FlushPolicy::parse("eventually"), None);
+    fn flush_policy_names() {
+        assert_eq!(FlushPolicy::PerEvent.config_name(), "per-event");
+        assert_eq!(FlushPolicy::Sync.config_name(), "sync");
         assert_eq!(FlushPolicy::default(), FlushPolicy::PerEvent);
     }
 

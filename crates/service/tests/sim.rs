@@ -3,7 +3,8 @@
 //! A seeded workload is driven twice: once against a fault-free in-memory
 //! **oracle**, once against a file-backed server that is killed at
 //! fault-plan-chosen ticks (torn journal writes, disk-full appends,
-//! dropped/short-read request frames) and restarted via the recovery path
+//! dropped/short-read request frames), with no destructor run (as a
+//! process crash would), and restarted via the recovery path
 //! (`Registry::open_with` + `AuditLog::resume_file` +
 //! `ActivationServer::resume`). After every fault plan, the recovered
 //! world must match the oracle **exactly**: delivered responses, registry
@@ -215,7 +216,6 @@ fn run_crash_sim(kind: FaultKind, crashes: usize, compact_every: u64, dir: &Path
         let registry = Registry::open_with(
             &journal,
             RecoverOptions {
-                flush: config.flush,
                 compact_every,
                 injector: Some(injector.clone()),
             },
@@ -283,7 +283,11 @@ fn run_crash_sim(kind: FaultKind, crashes: usize, compact_every: u64, dir: &Path
                     Ok(resp) => panic!("{kind}: doomed request succeeded: {resp:?}"),
                 }
                 assert!(!injector.is_armed(), "{kind}: fault was consumed");
-                // Kill this incarnation (drop flushes what it can).
+                // Kill this incarnation the way a process crash would:
+                // no destructor runs, so nothing the journal store still
+                // buffered reaches the file.
+                std::mem::forget(client);
+                std::mem::forget(server);
                 continue 'world;
             }
             let resp = client.call(&schedule[delivered]).expect("sim transport");

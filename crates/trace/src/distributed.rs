@@ -336,7 +336,7 @@ impl TraceRing {
         self.spans.iter().skip(skip).cloned().collect()
     }
 
-    /// Buffered span count.
+    /// Number of spans the ring holds.
     pub fn len(&self) -> usize {
         self.spans.len()
     }
