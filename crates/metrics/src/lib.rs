@@ -9,11 +9,13 @@
 //!
 //! * [`MetricsRegistry`] — a lock-sharded store of monotonic counters,
 //!   gauges and fixed-bucket histograms. Series are keyed by
-//!   `(name, sorted label set)` and hashed onto shards, so concurrent
-//!   writers rarely contend on the same mutex; a [`Snapshot`] locks the
-//!   shards in index order and merges them into one sorted view, the same
-//!   "merge per-worker state in a fixed order" move `hwm-trace` uses to
-//!   make span trees `--jobs`-invariant.
+//!   `(name, label set)` and hashed onto shards, so concurrent writers
+//!   rarely contend on the same mutex. A write to a series that already
+//!   exists finds it by comparing the borrowed labels and allocates
+//!   nothing; a [`Snapshot`] locks the shards in index order and merges
+//!   them into one sorted view, the same "merge per-worker state in a
+//!   fixed order" move `hwm-trace` uses to make span trees
+//!   `--jobs`-invariant.
 //! * [`Snapshot`] — the deterministic read side: families sorted by name,
 //!   series sorted by label set, rendered as Prometheus-style text
 //!   ([`Snapshot::to_prometheus`]) or strict JSON for the wire.
@@ -43,10 +45,6 @@
 //!   scheduling-dependent; [`Snapshot::deterministic`] filters them out,
 //!   and that filtered view is what the determinism tests and
 //!   `hwm_monitor --json` pin.
-//!
-//! Collection is on by default and can be switched off process-free via
-//! [`MetricsRegistry::set_enabled`], e.g. to measure the
-//! instrumentation's own overhead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,8 +69,7 @@ pub use timeseries::{
 };
 
 use hwm_jsonio::{fnv1a, FNV_BASIS};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Version of the snapshot JSON schema ([`Snapshot::to_json`]) and of the
@@ -166,7 +163,7 @@ pub const LATENCY_BUCKETS_NS: &[u64] = &[
 /// A borrowed label set as call sites write it: `&[("op", "unlock")]`.
 pub type LabelRefs<'a> = &'a [(&'static str, &'a str)];
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct SeriesKey {
     name: &'static str,
     labels: Vec<(&'static str, String)>,
@@ -197,9 +194,12 @@ struct StoredSeries {
     data: SeriesData,
 }
 
+/// One lock's share of the series: `(label hash, key, series)` in
+/// first-seen order. Series are never removed, so a position is a stable
+/// slot ([`MetricsRegistry::visit_det_ints`] hands it out).
 #[derive(Debug, Default)]
 struct Shard {
-    series: HashMap<SeriesKey, StoredSeries>,
+    series: Vec<(u64, SeriesKey, StoredSeries)>,
 }
 
 /// The lock-sharded metric store.
@@ -210,7 +210,8 @@ struct Shard {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     shards: Vec<Mutex<Shard>>,
-    enabled: AtomicBool,
+    /// Unique within the process: tells [`History`] whose slots it cached.
+    id: u64,
 }
 
 /// Default shard count: enough that the per-connection handler threads of
@@ -229,78 +230,68 @@ impl MetricsRegistry {
     pub fn new(shards: usize) -> MetricsRegistry {
         MetricsRegistry {
             shards: (0..shards.max(1)).map(|_| Mutex::new(Shard::default())).collect(),
-            enabled: AtomicBool::new(true),
+            id: {
+                static NEXT: AtomicU64 = AtomicU64::new(0);
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            },
         }
     }
 
-    /// Whether the registry is currently recording.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off. Reads ([`MetricsRegistry::snapshot`])
-    /// keep working either way; writes become no-ops while disabled — the
-    /// serving benchmark uses this to price the instrumentation itself.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    fn shard_for(&self, name: &str, labels: LabelRefs<'_>) -> &Mutex<Shard> {
-        let mut h = fnv1a(FNV_BASIS, name.as_bytes());
+    /// Runs `f` on the data of `name{labels}` under its shard's lock,
+    /// creating the series with `init` when first seen (the only time a
+    /// key is built). A hit compares the hash, then the borrowed labels:
+    /// no allocation, no owned-string hashing.
+    fn with_slot(
+        &self,
+        name: &'static str,
+        labels: LabelRefs<'_>,
+        init: impl FnOnce() -> StoredSeries,
+        f: impl FnOnce(&mut SeriesData),
+    ) {
+        let mut hash = fnv1a(FNV_BASIS, name.as_bytes());
         for (k, v) in labels {
-            h = fnv1a(h, k.as_bytes());
-            h = fnv1a(h, v.as_bytes());
+            hash = fnv1a(hash, k.as_bytes());
+            hash = fnv1a(hash, v.as_bytes());
         }
-        &self.shards[(h % self.shards.len() as u64) as usize]
-    }
-
-    fn key(name: &'static str, labels: LabelRefs<'_>) -> SeriesKey {
-        SeriesKey {
-            name,
-            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
-        }
+        let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
+        let mut shard = shard.lock().expect("metrics shard poisoned");
+        let pos = shard.series.iter().position(|(h, k, _)| {
+            *h == hash
+                && k.name == name
+                && k.labels.iter().map(|(k, v)| (*k, v.as_str())).eq(labels.iter().copied())
+        });
+        let pos = pos.unwrap_or_else(|| {
+            let labels = labels.iter().map(|(k, v)| (*k, v.to_string())).collect();
+            shard.series.push((hash, SeriesKey { name, labels }, init()));
+            shard.series.len() - 1
+        });
+        f(&mut shard.series[pos].2.data);
     }
 
     /// Adds `delta` to the counter `name{labels}`. Counters are always
     /// [`MetricClass::Det`]: by definition they count events of the
     /// request sequence, never wall time.
     pub fn inc(&self, name: &'static str, labels: LabelRefs<'_>, delta: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let mut shard = self.shard_for(name, labels).lock().expect("metrics shard poisoned");
-        match &mut shard
-            .series
-            .entry(Self::key(name, labels))
-            .or_insert(StoredSeries {
-                class: MetricClass::Det,
-                data: SeriesData::Counter(0),
-            })
-            .data
-        {
+        let init = || StoredSeries {
+            class: MetricClass::Det,
+            data: SeriesData::Counter(0),
+        };
+        self.with_slot(name, labels, init, |data| match data {
             SeriesData::Counter(v) => *v += delta,
             other => panic!("metric {name:?} already registered as {}", data_kind(other).as_str()),
-        }
+        });
     }
 
     /// Sets the gauge `name{labels}` to `value` (last write wins).
     pub fn set_gauge(&self, name: &'static str, labels: LabelRefs<'_>, class: MetricClass, value: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let mut shard = self.shard_for(name, labels).lock().expect("metrics shard poisoned");
-        let stored = shard
-            .series
-            .entry(Self::key(name, labels))
-            .or_insert(StoredSeries {
-                class,
-                data: SeriesData::Gauge(0),
-            });
-        match &mut stored.data {
+        let init = || StoredSeries {
+            class,
+            data: SeriesData::Gauge(0),
+        };
+        self.with_slot(name, labels, init, |data| match data {
             SeriesData::Gauge(v) => *v = value,
             other => panic!("metric {name:?} already registered as {}", data_kind(other).as_str()),
-        }
+        });
     }
 
     /// Records `value` into the fixed-bucket histogram `name{labels}`.
@@ -343,24 +334,17 @@ impl MetricsRegistry {
         value: u64,
         exemplar: Option<u64>,
     ) {
-        if !self.enabled() {
-            return;
-        }
-        let mut shard = self.shard_for(name, labels).lock().expect("metrics shard poisoned");
-        let stored = shard
-            .series
-            .entry(Self::key(name, labels))
-            .or_insert(StoredSeries {
-                class,
-                data: SeriesData::Histogram(HistData {
-                    bounds,
-                    counts: vec![0; bounds.len() + 1],
-                    count: 0,
-                    sum: 0,
-                    exemplars: vec![None; bounds.len() + 1],
-                }),
-            });
-        match &mut stored.data {
+        let init = || StoredSeries {
+            class,
+            data: SeriesData::Histogram(HistData {
+                bounds,
+                counts: vec![0; bounds.len() + 1],
+                count: 0,
+                sum: 0,
+                exemplars: vec![None; bounds.len() + 1],
+            }),
+        };
+        self.with_slot(name, labels, init, |data| match data {
             SeriesData::Histogram(h) => {
                 debug_assert_eq!(h.bounds, bounds, "histogram {name:?} bounds changed");
                 let bucket = h.bounds.partition_point(|&b| b < value);
@@ -372,29 +356,34 @@ impl MetricsRegistry {
                 }
             }
             other => panic!("metric {name:?} already registered as {}", data_kind(other).as_str()),
-        }
+        });
     }
 
     /// Visits every det-class counter and gauge series without building
     /// a [`Snapshot`]: no histogram-bucket clones, no global sort, no
-    /// per-series allocation. Shards are locked in index order; *within*
-    /// a shard the visit order is the hash map's and therefore
-    /// unspecified — callers that need a deterministic view must sort,
-    /// or land the values in an ordered container the way
-    /// [`History::sample_registry`] does.
+    /// per-series allocation. The first argument is the series' slot: a
+    /// small integer that names the same series for the registry's
+    /// whole life, so a caller can cache per-series state by it the way
+    /// [`History::sample_registry`] does. Visit order follows the
+    /// shards, not the keys — callers that need a deterministic view
+    /// must sort, or land the values in an ordered container.
     pub fn visit_det_ints(
         &self,
-        mut f: impl FnMut(&'static str, &[(&'static str, String)], MetricKind, u64),
+        mut f: impl FnMut(usize, &'static str, &[(&'static str, String)], MetricKind, u64),
     ) {
-        for shard in &self.shards {
+        let stride = self.shards.len();
+        for (index, shard) in self.shards.iter().enumerate() {
             let shard = shard.lock().expect("metrics shard poisoned");
-            for (k, v) in &shard.series {
+            for (pos, (_, k, v)) in shard.series.iter().enumerate() {
                 if v.class != MetricClass::Det {
                     continue;
                 }
+                let slot = pos * stride + index;
                 match v.data {
-                    SeriesData::Counter(val) => f(k.name, &k.labels, MetricKind::Counter, val),
-                    SeriesData::Gauge(val) => f(k.name, &k.labels, MetricKind::Gauge, val),
+                    SeriesData::Counter(val) => {
+                        f(slot, k.name, &k.labels, MetricKind::Counter, val)
+                    }
+                    SeriesData::Gauge(val) => f(slot, k.name, &k.labels, MetricKind::Gauge, val),
                     SeriesData::Histogram(_) => {}
                 }
             }
@@ -407,7 +396,7 @@ impl MetricsRegistry {
         let mut merged: Vec<(SeriesKey, StoredSeries)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("metrics shard poisoned");
-            for (k, v) in &shard.series {
+            for (_, k, v) in &shard.series {
                 merged.push((k.clone(), v.clone()));
             }
         }
@@ -466,20 +455,6 @@ mod tests {
         m.set_gauge("clock", &[], MetricClass::Det, 5);
         m.set_gauge("clock", &[], MetricClass::Det, 9);
         assert_eq!(m.snapshot().gauge("clock", &[]), Some(9));
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing_but_still_snapshots() {
-        let m = MetricsRegistry::default();
-        m.inc("a", &[], 1);
-        m.set_enabled(false);
-        m.inc("a", &[], 10);
-        m.set_gauge("g", &[], MetricClass::Det, 3);
-        m.observe("h", &[], MetricClass::Timing, LATENCY_BUCKETS_NS, 10);
-        let s = m.snapshot();
-        assert_eq!(s.counter("a", &[]), Some(1));
-        assert_eq!(s.gauge("g", &[]), None);
-        assert_eq!(s.families.len(), 1);
     }
 
     #[test]

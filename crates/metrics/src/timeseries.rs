@@ -205,10 +205,16 @@ pub type SeriesKey = (String, Vec<(String, String)>);
 
 /// The sampled history of every det-class counter and gauge, bounded by
 /// [`HistoryConfig::capacity`] samples per series.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct History {
     config: HistoryConfig,
-    series: BTreeMap<SeriesKey, SeriesHistory>,
+    /// Every series by key (the order readers see) → its ring in `rings`.
+    series: BTreeMap<SeriesKey, usize>,
+    rings: Vec<SeriesHistory>,
+    /// Registry slot ([`crate::MetricsRegistry::visit_det_ints`]) → ring,
+    /// for the registry whose id is `slots_of`.
+    slots: Vec<Option<usize>>,
+    slots_of: u64,
 }
 
 impl History {
@@ -217,7 +223,20 @@ impl History {
         History {
             config,
             series: BTreeMap::new(),
+            rings: Vec::new(),
+            slots: Vec::new(),
+            slots_of: u64::MAX,
         }
+    }
+
+    /// The ring of `key`, created empty (as `kind`) when first seen.
+    fn ring(&mut self, key: SeriesKey, kind: MetricKind) -> usize {
+        let next = self.rings.len();
+        let at = *self.series.entry(key).or_insert(next);
+        if at == next {
+            self.rings.push(SeriesHistory::new(kind));
+        }
+        at
     }
 
     /// The sampling configuration.
@@ -245,11 +264,8 @@ impl History {
             }
             for s in &f.series {
                 let SeriesValue::Int(value) = s.value else { continue };
-                let key = (f.name.clone(), s.labels.clone());
-                self.series
-                    .entry(key)
-                    .or_insert_with(|| SeriesHistory::new(f.kind))
-                    .push(Sample { tick, value }, self.config.capacity);
+                let at = self.ring((f.name.clone(), s.labels.clone()), f.kind);
+                self.rings[at].push(Sample { tick, value }, self.config.capacity);
             }
         }
     }
@@ -260,48 +276,47 @@ impl History {
     /// snapshot (no histogram clones, no global sort). The BTreeMap
     /// orders series by key, so the unspecified shard-visit order never
     /// shows: the resulting history is byte-identical to the
-    /// snapshot-fed path. This is the serving hot path's sampler.
+    /// snapshot-fed path. This is the serving hot path's sampler: each
+    /// series' ring is cached by its registry slot, so a steady-state
+    /// sample builds, compares and allocates no key.
     pub fn sample_registry(&mut self, tick: u64, registry: &crate::MetricsRegistry) {
         if !self.config.enabled() {
             return;
         }
+        if self.slots_of != registry.id {
+            // Slots name series of one registry only.
+            self.slots.clear();
+            self.slots_of = registry.id;
+        }
         let capacity = self.config.capacity;
-        // One reusable key: lookups for already-known series allocate
-        // nothing once the buffers have grown.
-        let mut key: SeriesKey = (String::new(), Vec::new());
-        let series = &mut self.series;
-        registry.visit_det_ints(|name, labels, kind, value| {
-            key.0.clear();
-            key.0.push_str(name);
-            key.1.truncate(labels.len());
-            while key.1.len() < labels.len() {
-                key.1.push((String::new(), String::new()));
-            }
-            for (slot, (lk, lv)) in key.1.iter_mut().zip(labels) {
-                slot.0.clear();
-                slot.0.push_str(lk);
-                slot.1.clear();
-                slot.1.push_str(lv);
-            }
-            if let Some(h) = series.get_mut(&key) {
-                h.push(Sample { tick, value }, capacity);
-            } else {
-                series
-                    .entry(key.clone())
-                    .or_insert_with(|| SeriesHistory::new(kind))
-                    .push(Sample { tick, value }, capacity);
-            }
+        registry.visit_det_ints(|slot, name, labels, kind, value| {
+            let at = match self.slots.get(slot) {
+                Some(&Some(at)) => at,
+                _ => {
+                    let key = labels
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), v.clone()))
+                        .collect();
+                    let at = self.ring((name.to_string(), key), kind);
+                    if self.slots.len() <= slot {
+                        self.slots.resize(slot + 1, None);
+                    }
+                    self.slots[slot] = Some(at);
+                    at
+                }
+            };
+            self.rings[at].push(Sample { tick, value }, capacity);
         });
     }
 
     /// All series, sorted by `(name, labels)`.
     pub fn series(&self) -> impl Iterator<Item = (&SeriesKey, &SeriesHistory)> {
-        self.series.iter()
+        self.series.iter().map(|(key, &at)| (key, &self.rings[at]))
     }
 
     /// One series by exact name + sorted-label match.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesHistory> {
-        self.series.iter().find(|((n, ls), _)| {
+        self.series().find(|((n, ls), _)| {
             n == name
                 && ls.len() == labels.len()
                 && ls.iter().zip(labels).all(|((k, v), (lk, lv))| k == lk && v == lv)
@@ -310,7 +325,7 @@ impl History {
 
     /// The newest tick sampled anywhere in the history.
     pub fn latest_tick(&self) -> Option<u64> {
-        self.series.values().filter_map(|h| h.samples.back().map(|s| s.tick)).max()
+        self.rings.iter().filter_map(|h| h.samples.back().map(|s| s.tick)).max()
     }
 
     /// Summed window delta across every series of `name` (the
@@ -320,7 +335,7 @@ impl History {
     /// the window; `spanned` is the widest member span.
     pub fn family_stats(&self, name: &str, now: u64, window: u64) -> Option<WindowStats> {
         let mut merged: Option<WindowStats> = None;
-        for (_, h) in self.series.iter().filter(|((n, _), _)| n == name) {
+        for (_, h) in self.series().filter(|((n, _), _)| n == name) {
             let Some(s) = h.stats(now, window) else { continue };
             merged = Some(match merged {
                 None => s,
@@ -348,8 +363,7 @@ impl History {
             stride: self.config.stride,
             capacity: self.config.capacity as u64,
             series: self
-                .series
-                .iter()
+                .series()
                 .map(|((name, labels), h)| DumpSeries {
                     name: name.clone(),
                     labels: labels.clone(),
@@ -374,12 +388,9 @@ impl History {
             capacity: (dump.capacity as usize).max(1),
         });
         for s in &dump.series {
-            let entry = h
-                .series
-                .entry((s.name.clone(), s.labels.clone()))
-                .or_insert_with(|| SeriesHistory::new(s.kind));
+            let at = h.ring((s.name.clone(), s.labels.clone()), s.kind);
             for sample in &s.samples {
-                entry.push(*sample, h.config.capacity);
+                h.rings[at].push(*sample, h.config.capacity);
             }
         }
         h
@@ -583,6 +594,26 @@ mod tests {
         assert!(hist.get("wall", &[]).is_none(), "timing-class series are never sampled");
         assert!(hist.get("h", &[]).is_none(), "histograms are never sampled");
         assert_eq!(hist.latest_tick(), Some(8));
+    }
+
+    /// The slot-cached sampler lands exactly the samples the
+    /// snapshot-fed path does, while the registry grows new series
+    /// between samples and when a second registry, whose slots name
+    /// other series, feeds the same history.
+    #[test]
+    fn registry_sampling_matches_snapshot_sampling() {
+        let config = HistoryConfig { stride: 1, capacity: 8 };
+        let (mut cached, mut fed) = (History::new(config), History::new(config));
+        let (a, b) = (MetricsRegistry::new(2), MetricsRegistry::new(2));
+        for tick in 1..=12u64 {
+            let m = if tick % 3 == 0 { &b } else { &a };
+            m.inc("req", &[("op", ["x", "y", "z"][tick as usize % 3])], tick);
+            m.set_gauge(["g", "h", "k"][tick as usize % 3], &[], MetricClass::Det, tick * 7);
+            cached.sample_registry(tick, m);
+            fed.record(tick, &m.snapshot());
+        }
+        assert_eq!(cached.dump(None), fed.dump(None));
+        assert_eq!(cached.series().count(), 6);
     }
 
     #[test]

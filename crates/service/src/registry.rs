@@ -283,7 +283,10 @@ pub struct Registry {
     by_readout: HashMap<String, usize>,
     journal: Journal,
     seq: u64,
-    duplicates: u64,
+    /// Records currently `Unlocked` / `Disabled`, kept up to date by
+    /// every state change so [`Registry::counts`] never walks the fleet.
+    unlocked: u64,
+    disabled: u64,
     /// Duplicate-readout evidence in journal order (snapshot-preserved).
     clones: Vec<CloneEvidence>,
     /// Rolling FNV-1a digest of every journal byte ever appended.
@@ -323,7 +326,8 @@ impl Registry {
             by_readout: HashMap::new(),
             journal: Journal::Memory(Vec::new()),
             seq: 0,
-            duplicates: 0,
+            unlocked: 0,
+            disabled: 0,
             clones: Vec::new(),
             digest: DIGEST_BASIS,
             path: None,
@@ -531,8 +535,9 @@ impl Registry {
             if self.by_readout.insert(r.readout.clone(), index).is_some() {
                 return Err(invalid(format!("snapshot repeats readout of IC {:?}", r.ic)));
             }
+            self.unlocked += u64::from(r.state == IcState::Unlocked);
+            self.disabled += u64::from(r.state == IcState::Disabled);
         }
-        self.duplicates = snap.clones.len() as u64;
         self.records = snap.records;
         self.clones = snap.clones;
         self.seq = snap.seq;
@@ -731,7 +736,6 @@ impl Registry {
                 ("prior", Json::Str(prior.clone())),
             ]))?;
             self.seq = seq;
-            self.duplicates += 1;
             self.clones.push(CloneEvidence {
                 seq,
                 ic: ic.to_string(),
@@ -796,6 +800,7 @@ impl Registry {
         ]))?;
         self.seq = seq;
         self.records[index].state = IcState::Unlocked;
+        self.unlocked += 1;
         hwm_trace::counter("registry_unlocks", 1);
         self.maybe_compact();
         Ok(())
@@ -809,7 +814,8 @@ impl Registry {
     /// already disabled.
     pub fn mark_disabled(&mut self, ic: &str, client: &str) -> Result<(), RegistryError> {
         let &index = self.by_ic.get(ic).ok_or(RegistryError::UnknownIc)?;
-        if self.records[index].state == IcState::Disabled {
+        let from = self.records[index].state;
+        if from == IcState::Disabled {
             return Err(RegistryError::WrongState(IcState::Disabled));
         }
         let seq = self.seq + 1;
@@ -821,6 +827,8 @@ impl Registry {
         ]))?;
         self.seq = seq;
         self.records[index].state = IcState::Disabled;
+        self.unlocked -= u64::from(from == IcState::Unlocked);
+        self.disabled += 1;
         hwm_trace::counter("registry_disables", 1);
         self.maybe_compact();
         Ok(())
@@ -913,21 +921,15 @@ impl Registry {
         self.by_readout.get(readout).map(|&i| &self.records[i])
     }
 
-    /// Current counts.
+    /// Current counts, in O(1): the state counts are maintained by
+    /// every state change rather than recounted here.
     pub fn counts(&self) -> RegistryCounts {
-        let mut c = RegistryCounts {
+        RegistryCounts {
             registered: self.records.len() as u64,
-            duplicates: self.duplicates,
-            ..RegistryCounts::default()
-        };
-        for r in &self.records {
-            match r.state {
-                IcState::Registered => {}
-                IcState::Unlocked => c.unlocked += 1,
-                IcState::Disabled => c.disabled += 1,
-            }
+            unlocked: self.unlocked,
+            disabled: self.disabled,
+            duplicates: self.clones.len() as u64,
         }
-        c
     }
 
     /// Journal events appended so far.

@@ -40,7 +40,7 @@
 //! excluded from the determinism contract, mirroring the trace crate's
 //! counter/gauge split.
 
-use crate::registry::{Registry, RegistryError};
+use crate::registry::{IcState, Registry, RegistryError};
 use crate::snapshot::RegistrySnapshot;
 use crate::storage::FlushPolicy;
 use crate::throttle::{Decision, RateLimiter, ThrottleConfig};
@@ -316,8 +316,8 @@ impl ActivationServer {
         self.inner.lock().expect("server state poisoned")
     }
 
-    /// The live metrics registry (e.g. to disable collection for an
-    /// overhead baseline, or to snapshot without a wire round trip).
+    /// The live metrics registry (e.g. to snapshot without a wire round
+    /// trip).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -852,7 +852,7 @@ impl Inner {
         }
     }
 
-    fn status_report(&self, ic: Option<&str>) -> StatusReport {
+    fn status_report(&self, ic_state: Option<IcState>) -> StatusReport {
         let c = self.registry.counts();
         StatusReport {
             registered: c.registered,
@@ -860,11 +860,7 @@ impl Inner {
             disabled: c.disabled,
             duplicates: c.duplicates,
             lockouts: self.limiter.total_lockouts(),
-            ic_state: ic.and_then(|ic| {
-                self.registry
-                    .by_ic(ic)
-                    .map(|r| r.state.as_str().to_string())
-            }),
+            ic_state: ic_state.map(|s| s.as_str().to_string()),
         }
     }
 
@@ -980,15 +976,15 @@ impl Inner {
             }
         };
         match state {
-            crate::registry::IcState::Registered => {}
-            crate::registry::IcState::Unlocked => {
+            IcState::Registered => {}
+            IcState::Unlocked => {
                 return Response::Error {
                     code: ErrorCode::AlreadyUnlocked,
                     message: format!("{ic:?} was already issued its key"),
                     retry_at: None,
                 }
             }
-            crate::registry::IcState::Disabled => {
+            IcState::Disabled => {
                 return Response::Error {
                     code: ErrorCode::Disabled,
                     message: format!("{ic:?} was remotely disabled"),
@@ -1075,15 +1071,14 @@ impl Inner {
     }
 
     fn status(&self, ic: Option<&str>) -> Response {
-        if let Some(name) = ic {
-            if self.registry.by_ic(name).is_none() {
-                return Response::Error {
-                    code: ErrorCode::UnknownIc,
-                    message: format!("no registered IC {name:?}"),
-                    retry_at: None,
-                };
-            }
+        let found = ic.map(|name| self.registry.by_ic(name).map(|r| r.state).ok_or(name));
+        match found.transpose() {
+            Ok(ic_state) => Response::Status(self.status_report(ic_state)),
+            Err(name) => Response::Error {
+                code: ErrorCode::UnknownIc,
+                message: format!("no registered IC {name:?}"),
+                retry_at: None,
+            },
         }
-        Response::Status(self.status_report(ic))
     }
 }

@@ -8,9 +8,13 @@
 //! registry properties drive a file-backed, randomly-compacting registry
 //! and an in-memory twin through the same operation sequence and require
 //! the recovered world (snapshot + journal tail) to be state- and
-//! digest-equivalent to a strict replay of the twin's full journal.
+//! digest-equivalent to a strict replay of the twin's full journal, and
+//! hold the registry's incrementally kept counts to a full recount.
 
-use hwm_service::{Decision, RateLimiter, RecoverOptions, Registry, ThrottleConfig};
+use hwm_service::{
+    Decision, IcState, RateLimiter, RecoverOptions, Registry, RegistryCounts, RegistrySnapshot,
+    ThrottleConfig,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,6 +248,82 @@ proptest! {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// `Registry::counts` is kept up to date by every state change
+    /// instead of walking the fleet; after every step of an arbitrary
+    /// history it must equal that walk, on every path a registry is
+    /// built by: live mutation (duplicate readouts and ICs included,
+    /// disables from both live states), compaction plus reopen,
+    /// `from_snapshot`, strict `replay` and replicated application.
+    #[test]
+    fn counts_match_a_full_recount_after_every_step(
+        ops in prop::collection::vec((0u8..6, 0usize..8, 0usize..6), 1..60),
+    ) {
+        let dir = case_dir("counts");
+        let path = dir.join("journal.jsonl");
+        let mut disk = Registry::open(&path).unwrap();
+        let mut leader = Registry::in_memory();
+        leader.enable_replication();
+        let mut follower = Registry::in_memory();
+        for (op, ic_idx, readout_idx) in ops {
+            let ic = format!("ic-{ic_idx}");
+            let readout = format!("0101-{readout_idx}");
+            for r in [&mut disk, &mut leader] {
+                let _ = match op {
+                    0 | 1 => r.register("fab", &ic, &readout, 0),
+                    2 => r.mark_unlocked(&ic, 4, "fab"),
+                    3 => r.mark_disabled(&ic, "alice"),
+                    _ => Ok(()),
+                };
+            }
+            for line in leader.drain_replication() {
+                follower.apply_replicated(&line).unwrap();
+            }
+            let mut rebuilt = Vec::new();
+            match op {
+                4 => {
+                    disk.compact().unwrap();
+                    drop(disk);
+                    disk = Registry::open(&path).unwrap();
+                }
+                5 => {
+                    let snap = RegistrySnapshot {
+                        seq: leader.journal_len(),
+                        digest: leader.rolling_digest(),
+                        records: leader.records().to_vec(),
+                        clones: leader.clones().to_vec(),
+                    };
+                    rebuilt.push(Registry::from_snapshot(snap).unwrap());
+                    let journal = std::str::from_utf8(leader.journal_bytes().unwrap()).unwrap();
+                    rebuilt.push(Registry::replay(journal).unwrap());
+                }
+                _ => {}
+            }
+            for r in [&disk, &leader, &follower].into_iter().chain(&rebuilt) {
+                prop_assert_eq!(r.counts(), recount(r));
+            }
+            prop_assert_eq!(disk.counts(), leader.counts());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The fleet walk `Registry::counts` did before it kept its counts
+/// incrementally — the slow oracle for that fast path.
+fn recount(r: &Registry) -> RegistryCounts {
+    let mut c = RegistryCounts {
+        registered: r.records().len() as u64,
+        duplicates: r.clones().len() as u64,
+        ..RegistryCounts::default()
+    };
+    for record in r.records() {
+        match record.state {
+            IcState::Registered => {}
+            IcState::Unlocked => c.unlocked += 1,
+            IcState::Disabled => c.disabled += 1,
+        }
+    }
+    c
 }
 
 /// Returns `j` with one unknown field injected into its `trace` object
